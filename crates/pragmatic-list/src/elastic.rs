@@ -4,10 +4,19 @@
 //! count and key placement at construction. Real traffic drifts: a
 //! hotspot that wanders across the keyspace (the phase transitions of
 //! road-network congestion) eventually pins all load onto one shard and
-//! erases the N× sharding win. [`ElasticSet`] and [`ElasticMap`] fix
-//! this by watching per-shard load online and **resharding while
-//! concurrent operations run**: the hottest shard is split at its median
-//! key into two finer shards, and cold adjacent shards are merged back.
+//! erases the N× sharding win. [`Elastic`] fixes this by watching
+//! per-shard load online and **resharding while concurrent operations
+//! run**: the hottest shard is split at its median key into two finer
+//! shards, and cold adjacent shards are merged back.
+//!
+//! # One front, four presets
+//!
+//! [`Elastic<K, B>`](Elastic) is the one elastic type, over a shard
+//! backend `B`. Callers name the backend through four preset aliases,
+//! each fixing the backend, its registry name and the policy `new()`
+//! builds under: [`ElasticSet`] (any ordered set), [`ElasticMorphSet`]
+//! and [`ElasticCombineSet`] (morphing shards, the latter under
+//! [`LoadPolicy::combining`]), and [`ElasticMap`] ([`ListMap`] shards).
 //!
 //! # The router
 //!
@@ -66,7 +75,7 @@
 //!
 //! Because a migration already stops the world *for one shard* (seal →
 //! drain → copy), rebuilding the copy in a **different backend type**
-//! is free: [`ElasticMorphSet`] runs each shard as a [`MorphKind`] arm —
+//! is free: the morphing presets run each shard as a [`MorphKind`] arm —
 //! a flat hinted list while the shard is small, an unrolled fat-node
 //! list in the middle, a skiplist (any caller-supplied ordered set) once
 //! the shard is large — chosen by [`LoadPolicy::morph_kind`] from the
@@ -85,7 +94,7 @@
 //! the coldest adjacent pair fell below [`LoadPolicy::merge_share_pct`]
 //! it is merged. All thresholds are injectable, so tests drive
 //! migrations deterministically — by op counts or by
-//! [`ElasticSet::force_split_at`] — with no timing dependence.
+//! [`Elastic::force_split_at`] — with no timing dependence.
 //!
 //! # Examples
 //!
@@ -306,351 +315,399 @@ pub const fn elastic_name(inner: &'static str) -> &'static str {
     }
 }
 
-/// What the elastic core needs from a shard backend: construction, a
-/// per-thread handle, an ordered scan, a sorted bulk load (the migration
-/// copy path), and counter plumbing. Implemented for any
-/// [`ConcurrentOrderedSet`] (via the private `SetBackend` adapter) and
-/// for [`ListMap`].
-trait ElasticBackend<K: ShardKey>: Send + Sync + Sized + 'static {
-    /// Per-thread backend handle.
-    type Handle<'a>
-    where
-        Self: 'a;
-    /// What a scan yields: `K` for sets, `(K, V)` for maps.
-    type Item: Copy + Send + Sync + 'static;
+/// The shard backends an [`Elastic`] structure can run. The items are
+/// `pub` so the preset aliases can name them, but the module is private:
+/// callers pick a backend only through the aliases (the sealed pattern).
+mod backend {
+    use super::*;
 
-    /// `true` iff this backend can change arms when a migration
-    /// rebuilds it ([`MorphBackend`]); gates the monitor's morph pass
-    /// so single-backend sets never pay for it.
-    const MORPHS: bool = false;
+    /// What the elastic core needs from a shard backend: construction, a
+    /// per-thread handle, an ordered scan, a sorted bulk load (the
+    /// migration copy path), and counter plumbing. Implemented for any
+    /// [`ConcurrentOrderedSet`] (via the [`SetBackend`] adapter), for the
+    /// morphing [`MorphBackend`], and for [`ListMap`].
+    pub trait ElasticBackend<K: ShardKey>: Send + Sync + Sized + 'static {
+        /// Per-thread backend handle.
+        type Handle<'a>
+        where
+            Self: 'a;
+        /// What a scan yields: `K` for sets, `(K, V)` for maps.
+        type Item: Copy + Send + Sync + 'static;
 
-    /// `true` iff write ops against this backend can be delegated to a
-    /// combiner ([`apply_delegated`](ElasticBackend::apply_delegated) is
-    /// implemented). Sets delegate; maps never do — a delegated op
-    /// carries only a key, not a value.
-    const COMBINES: bool = false;
+        /// Stable CLI name of the elastic structure over this backend.
+        const NAME: &'static str;
 
-    /// Applies one delegated write op — `add(key)` or `remove(key)` —
-    /// through an existing backend handle, returning the op's result.
-    /// Only called when [`COMBINES`](ElasticBackend::COMBINES) is
-    /// `true`; both the combiner drain and the direct (non-delegated)
-    /// write path of delegation-capable sets funnel through it, so a
-    /// delegated op is indistinguishable from a direct one at the
-    /// backend.
-    fn apply_delegated<'a>(handle: &mut Self::Handle<'a>, key: K, remove: bool) -> bool {
-        let _ = (handle, key, remove);
-        unreachable!("backend does not support delegation (COMBINES = false)")
-    }
+        /// `true` iff this backend can change arms when a migration
+        /// rebuilds it ([`MorphBackend`]); gates the monitor's morph pass
+        /// so single-backend sets never pay for it.
+        const MORPHS: bool = false;
 
-    fn new() -> Self;
-    /// Builds a backend running arm `kind`; single-arm backends ignore
-    /// it.
-    fn new_kind(kind: MorphKind) -> Self {
-        let _ = kind;
-        Self::new()
-    }
-    /// The arm this backend currently runs (single-arm backends report
-    /// [`MorphKind::List`]).
-    fn kind(&self) -> MorphKind {
-        MorphKind::List
-    }
-    fn handle(&self) -> Self::Handle<'_>;
-    fn item_key(item: &Self::Item) -> K;
-    /// Ordered scan of the live items inside `bounds`.
-    fn scan<'a>(handle: &mut Self::Handle<'a>, bounds: &ScanBounds<K>) -> Vec<Self::Item>;
-    /// Bulk-inserts `items` (sorted ascending; may be reordered).
-    fn load_sorted<'a>(handle: &mut Self::Handle<'a>, items: &mut [Self::Item]);
-    /// The handle's counters.
-    fn stats(handle: &Self::Handle<'_>) -> OpStats;
-    /// Reads (and, where supported, resets) the handle's counters.
-    /// Called once, immediately before the handle is dropped, when a
-    /// router refresh evicts it.
-    fn drain_stats<'a>(handle: &mut Self::Handle<'a>) -> OpStats;
-    /// Estimated live items.
-    fn len_estimate<'a>(handle: &mut Self::Handle<'a>) -> usize;
-    /// Quiescent snapshot of all items, ascending.
-    fn collect_items(&mut self) -> Vec<Self::Item>;
-    /// Quiescent structural check.
-    fn check(&mut self) -> Result<(), InvariantViolation>;
-}
+        /// `true` iff write ops against this backend can be delegated to
+        /// a combiner ([`apply_delegated`](ElasticBackend::apply_delegated)
+        /// is implemented). Sets delegate; maps never do — a delegated op
+        /// carries only a key, not a value.
+        const COMBINES: bool = false;
 
-/// Adapter giving any ordered set the [`ElasticBackend`] surface.
-struct SetBackend<K, B>(B, PhantomData<K>);
-
-impl<K, B> ElasticBackend<K> for SetBackend<K, B>
-where
-    K: ShardKey,
-    B: ConcurrentOrderedSet<K> + 'static,
-    for<'a> B::Handle<'a>: OrderedHandle<K>,
-{
-    type Handle<'a>
-        = B::Handle<'a>
-    where
-        Self: 'a;
-    type Item = K;
-
-    const COMBINES: bool = true;
-
-    fn apply_delegated<'a>(handle: &mut B::Handle<'a>, key: K, remove: bool) -> bool {
-        if remove {
-            handle.remove(key)
-        } else {
-            handle.add(key)
+        /// Applies one delegated write op — `add(key)` or `remove(key)` —
+        /// through an existing backend handle, returning the op's result.
+        /// Only called when [`COMBINES`](ElasticBackend::COMBINES) is
+        /// `true`; both the combiner drain and the direct (non-delegated)
+        /// write path of delegation-capable sets funnel through it, so a
+        /// delegated op is indistinguishable from a direct one at the
+        /// backend.
+        fn apply_delegated<'a>(handle: &mut Self::Handle<'a>, key: K, remove: bool) -> bool {
+            let _ = (handle, key, remove);
+            unreachable!("backend does not support delegation (COMBINES = false)")
         }
-    }
 
-    fn new() -> Self {
-        SetBackend(B::new(), PhantomData)
-    }
-
-    fn handle(&self) -> B::Handle<'_> {
-        self.0.handle()
-    }
-
-    fn item_key(item: &K) -> K {
-        *item
-    }
-
-    fn scan<'a>(handle: &mut B::Handle<'a>, bounds: &ScanBounds<K>) -> Vec<K> {
-        handle.range(*bounds).into_vec()
-    }
-
-    fn load_sorted<'a>(handle: &mut B::Handle<'a>, items: &mut [K]) {
-        handle.add_batch(items);
-    }
-
-    fn stats(handle: &B::Handle<'_>) -> OpStats {
-        handle.stats()
-    }
-
-    fn drain_stats<'a>(handle: &mut B::Handle<'a>) -> OpStats {
-        handle.take_stats()
-    }
-
-    fn len_estimate<'a>(handle: &mut B::Handle<'a>) -> usize {
-        handle.len_estimate()
-    }
-
-    fn collect_items(&mut self) -> Vec<K> {
-        self.0.collect_keys()
-    }
-
-    fn check(&mut self) -> Result<(), InvariantViolation> {
-        self.0.check_invariants()
-    }
-}
-
-impl<K, V> ElasticBackend<K> for ListMap<K, V>
-where
-    K: ShardKey,
-    V: Copy + Send + Sync + 'static,
-{
-    type Handle<'a>
-        = MapHandle<'a, K, V>
-    where
-        Self: 'a;
-    type Item = (K, V);
-
-    fn new() -> Self {
-        ListMap::new()
-    }
-
-    fn handle(&self) -> MapHandle<'_, K, V> {
-        self.handle()
-    }
-
-    fn item_key(item: &(K, V)) -> K {
-        item.0
-    }
-
-    fn scan<'a>(handle: &mut MapHandle<'a, K, V>, bounds: &ScanBounds<K>) -> Vec<(K, V)> {
-        handle.range(*bounds).into_vec()
-    }
-
-    fn load_sorted<'a>(handle: &mut MapHandle<'a, K, V>, items: &mut [(K, V)]) {
-        for &mut (k, v) in items {
-            handle.insert(k, v);
+        /// Builds an empty backend.
+        fn new() -> Self;
+        /// Builds a backend running arm `kind`; single-arm backends
+        /// ignore it.
+        fn new_kind(kind: MorphKind) -> Self {
+            let _ = kind;
+            Self::new()
         }
+        /// The arm this backend currently runs (single-arm backends
+        /// report [`MorphKind::List`]).
+        fn kind(&self) -> MorphKind {
+            MorphKind::List
+        }
+        /// A per-thread handle.
+        fn handle(&self) -> Self::Handle<'_>;
+        /// The key an item is ordered by.
+        fn item_key(item: &Self::Item) -> K;
+        /// Ordered scan of the live items inside `bounds`.
+        fn scan<'a>(handle: &mut Self::Handle<'a>, bounds: &ScanBounds<K>) -> Vec<Self::Item>;
+        /// Bulk-inserts `items` (sorted ascending; may be reordered).
+        fn load_sorted<'a>(handle: &mut Self::Handle<'a>, items: &mut [Self::Item]);
+        /// The handle's counters.
+        fn stats(handle: &Self::Handle<'_>) -> OpStats;
+        /// Reads (and, where supported, resets) the handle's counters.
+        /// Called once, immediately before the handle is dropped, when a
+        /// router refresh evicts it.
+        fn drain_stats<'a>(handle: &mut Self::Handle<'a>) -> OpStats;
+        /// Estimated live items.
+        fn len_estimate<'a>(handle: &mut Self::Handle<'a>) -> usize;
+        /// Quiescent snapshot of all items, ascending.
+        fn collect_items(&mut self) -> Vec<Self::Item>;
+        /// Quiescent structural check.
+        fn check(&mut self) -> Result<(), InvariantViolation>;
     }
 
-    fn stats(handle: &MapHandle<'_, K, V>) -> OpStats {
-        handle.stats()
-    }
+    /// Adapter giving any ordered set the [`ElasticBackend`] surface.
+    pub struct SetBackend<K, B>(B, PhantomData<K>);
 
-    fn drain_stats<'a>(handle: &mut MapHandle<'a, K, V>) -> OpStats {
-        // `MapHandle` counters are read-only; the handle is dropped
-        // right after this call, so the read cannot double-count.
-        handle.stats()
-    }
+    impl<K, B> ElasticBackend<K> for SetBackend<K, B>
+    where
+        K: ShardKey,
+        B: ConcurrentOrderedSet<K> + 'static,
+        for<'a> B::Handle<'a>: OrderedHandle<K>,
+    {
+        type Handle<'a>
+            = B::Handle<'a>
+        where
+            Self: 'a;
+        type Item = K;
 
-    fn len_estimate<'a>(handle: &mut MapHandle<'a, K, V>) -> usize {
-        handle.len_estimate()
-    }
+        const NAME: &'static str = elastic_name(B::NAME);
+        const COMBINES: bool = true;
 
-    fn collect_items(&mut self) -> Vec<(K, V)> {
-        self.collect()
-    }
-
-    fn check(&mut self) -> Result<(), InvariantViolation> {
-        // ListMap has no structural validator of its own; the chain
-        // order invariant is observable through the quiescent scan.
-        let items = self.collect();
-        for (position, w) in items.windows(2).enumerate() {
-            if w[0].0 >= w[1].0 {
-                return Err(InvariantViolation::OutOfOrder { position });
+        fn apply_delegated<'a>(handle: &mut B::Handle<'a>, key: K, remove: bool) -> bool {
+            if remove {
+                handle.remove(key)
+            } else {
+                handle.add(key)
             }
         }
-        Ok(())
-    }
-}
 
-/// The shard backend of [`ElasticMorphSet`]: one of three arms, chosen
-/// per shard by [`LoadPolicy::morph_kind`] whenever a migration
-/// (re)builds the shard. The skiplist arm is generic (`S`) because the
-/// skiplist crate sits *above* this one in the workspace; the benchmark
-/// harness plugs the real skiplist in.
-enum MorphBackend<K: ShardKey, S> {
-    List(SinglyHintedList<K>),
-    Unrolled(UnrolledArenaList<K>),
-    Skip(S),
-}
-
-/// Per-thread handle over one [`MorphBackend`] arm.
-enum MorphHandle<'a, K: ShardKey, S: ConcurrentOrderedSet<K> + 'a> {
-    List(<SinglyHintedList<K> as ConcurrentOrderedSet<K>>::Handle<'a>),
-    Unrolled(<UnrolledArenaList<K> as ConcurrentOrderedSet<K>>::Handle<'a>),
-    Skip(S::Handle<'a>),
-}
-
-/// Forwards one method call to whichever arm the handle runs.
-macro_rules! morph_delegate {
-    ($handle:expr, $h:ident => $body:expr) => {
-        match $handle {
-            MorphHandle::List($h) => $body,
-            MorphHandle::Unrolled($h) => $body,
-            MorphHandle::Skip($h) => $body,
+        fn new() -> Self {
+            SetBackend(B::new(), PhantomData)
         }
-    };
-}
 
-impl<'a, K, S> MorphHandle<'a, K, S>
-where
-    K: ShardKey,
-    S: ConcurrentOrderedSet<K> + 'a,
-    for<'b> S::Handle<'b>: OrderedHandle<K>,
-{
-    fn add(&mut self, key: K) -> bool {
-        morph_delegate!(self, h => h.add(key))
+        fn handle(&self) -> B::Handle<'_> {
+            self.0.handle()
+        }
+
+        fn item_key(item: &K) -> K {
+            *item
+        }
+
+        fn scan<'a>(handle: &mut B::Handle<'a>, bounds: &ScanBounds<K>) -> Vec<K> {
+            handle.range(*bounds).into_vec()
+        }
+
+        fn load_sorted<'a>(handle: &mut B::Handle<'a>, items: &mut [K]) {
+            handle.add_batch(items);
+        }
+
+        fn stats(handle: &B::Handle<'_>) -> OpStats {
+            handle.stats()
+        }
+
+        fn drain_stats<'a>(handle: &mut B::Handle<'a>) -> OpStats {
+            handle.take_stats()
+        }
+
+        fn len_estimate<'a>(handle: &mut B::Handle<'a>) -> usize {
+            handle.len_estimate()
+        }
+
+        fn collect_items(&mut self) -> Vec<K> {
+            self.0.collect_keys()
+        }
+
+        fn check(&mut self) -> Result<(), InvariantViolation> {
+            self.0.check_invariants()
+        }
     }
 
-    fn remove(&mut self, key: K) -> bool {
-        morph_delegate!(self, h => h.remove(key))
-    }
-
-    fn contains(&mut self, key: K) -> bool {
-        morph_delegate!(self, h => h.contains(key))
-    }
-
-    fn add_batch(&mut self, keys: &mut [K]) -> usize {
-        morph_delegate!(self, h => h.add_batch(keys))
-    }
-
-    fn remove_batch(&mut self, keys: &mut [K]) -> usize {
-        morph_delegate!(self, h => h.remove_batch(keys))
-    }
-}
-
-impl<K, S> ElasticBackend<K> for MorphBackend<K, S>
-where
-    K: ShardKey,
-    S: ConcurrentOrderedSet<K> + 'static,
-    for<'a> S::Handle<'a>: OrderedHandle<K>,
-{
-    type Handle<'a>
-        = MorphHandle<'a, K, S>
+    impl<K, V> ElasticBackend<K> for ListMap<K, V>
     where
-        Self: 'a;
-    type Item = K;
+        K: ShardKey,
+        V: Copy + Send + Sync + 'static,
+    {
+        type Handle<'a>
+            = MapHandle<'a, K, V>
+        where
+            Self: 'a;
+        type Item = (K, V);
 
-    const MORPHS: bool = true;
-    const COMBINES: bool = true;
+        const NAME: &'static str = "elastic_map";
 
-    fn apply_delegated<'a>(handle: &mut MorphHandle<'a, K, S>, key: K, remove: bool) -> bool {
-        if remove {
-            handle.remove(key)
-        } else {
-            handle.add(key)
+        fn new() -> Self {
+            ListMap::new()
+        }
+
+        fn handle(&self) -> MapHandle<'_, K, V> {
+            self.handle()
+        }
+
+        fn item_key(item: &(K, V)) -> K {
+            item.0
+        }
+
+        fn scan<'a>(handle: &mut MapHandle<'a, K, V>, bounds: &ScanBounds<K>) -> Vec<(K, V)> {
+            handle.range(*bounds).into_vec()
+        }
+
+        fn load_sorted<'a>(handle: &mut MapHandle<'a, K, V>, items: &mut [(K, V)]) {
+            for &mut (k, v) in items {
+                handle.insert(k, v);
+            }
+        }
+
+        fn stats(handle: &MapHandle<'_, K, V>) -> OpStats {
+            handle.stats()
+        }
+
+        fn drain_stats<'a>(handle: &mut MapHandle<'a, K, V>) -> OpStats {
+            // `MapHandle` counters are read-only; the handle is dropped
+            // right after this call, so the read cannot double-count.
+            handle.stats()
+        }
+
+        fn len_estimate<'a>(handle: &mut MapHandle<'a, K, V>) -> usize {
+            handle.len_estimate()
+        }
+
+        fn collect_items(&mut self) -> Vec<(K, V)> {
+            self.collect()
+        }
+
+        fn check(&mut self) -> Result<(), InvariantViolation> {
+            // ListMap has no structural validator of its own; the chain
+            // order invariant is observable through the quiescent scan.
+            let items = self.collect();
+            for (position, w) in items.windows(2).enumerate() {
+                if w[0].0 >= w[1].0 {
+                    return Err(InvariantViolation::OutOfOrder { position });
+                }
+            }
+            Ok(())
         }
     }
 
-    fn new() -> Self {
-        Self::new_kind(MorphKind::List)
+    /// The morphing shard backend: one of three arms, chosen per shard by
+    /// [`LoadPolicy::morph_kind`] whenever a migration (re)builds the
+    /// shard. The skiplist arm is generic (`S`) because the skiplist crate
+    /// sits *above* this one in the workspace; the benchmark harness plugs
+    /// the real skiplist in.
+    pub enum MorphBackend<K: ShardKey, S> {
+        /// Flat hinted singly list.
+        List(SinglyHintedList<K>),
+        /// Unrolled fat-node list.
+        Unrolled(UnrolledArenaList<K>),
+        /// The caller-supplied large-shard set.
+        Skip(S),
     }
 
-    fn new_kind(kind: MorphKind) -> Self {
-        match kind {
-            MorphKind::List => MorphBackend::List(SinglyHintedList::new()),
-            MorphKind::Unrolled => MorphBackend::Unrolled(UnrolledArenaList::new()),
-            MorphKind::Skip => MorphBackend::Skip(S::new()),
+    /// Per-thread handle over one [`MorphBackend`] arm.
+    pub enum MorphHandle<'a, K: ShardKey, S: ConcurrentOrderedSet<K> + 'a> {
+        /// Handle over the list arm.
+        List(<SinglyHintedList<K> as ConcurrentOrderedSet<K>>::Handle<'a>),
+        /// Handle over the unrolled arm.
+        Unrolled(<UnrolledArenaList<K> as ConcurrentOrderedSet<K>>::Handle<'a>),
+        /// Handle over the large-shard arm.
+        Skip(S::Handle<'a>),
+    }
+
+    /// Forwards one method call to whichever arm the handle runs.
+    macro_rules! morph_delegate {
+        ($handle:expr, $h:ident => $body:expr) => {
+            match $handle {
+                MorphHandle::List($h) => $body,
+                MorphHandle::Unrolled($h) => $body,
+                MorphHandle::Skip($h) => $body,
+            }
+        };
+    }
+
+    impl<'a, K, S> SetHandle<K> for MorphHandle<'a, K, S>
+    where
+        K: ShardKey,
+        S: ConcurrentOrderedSet<K> + 'a,
+        for<'b> S::Handle<'b>: OrderedHandle<K>,
+    {
+        fn add(&mut self, key: K) -> bool {
+            morph_delegate!(self, h => h.add(key))
+        }
+
+        fn remove(&mut self, key: K) -> bool {
+            morph_delegate!(self, h => h.remove(key))
+        }
+
+        fn contains(&mut self, key: K) -> bool {
+            morph_delegate!(self, h => h.contains(key))
+        }
+
+        fn add_batch(&mut self, keys: &mut [K]) -> usize {
+            morph_delegate!(self, h => h.add_batch(keys))
+        }
+
+        fn remove_batch(&mut self, keys: &mut [K]) -> usize {
+            morph_delegate!(self, h => h.remove_batch(keys))
+        }
+
+        fn stats(&self) -> OpStats {
+            morph_delegate!(self, h => h.stats())
+        }
+
+        fn take_stats(&mut self) -> OpStats {
+            morph_delegate!(self, h => h.take_stats())
         }
     }
 
-    fn kind(&self) -> MorphKind {
-        match self {
-            MorphBackend::List(_) => MorphKind::List,
-            MorphBackend::Unrolled(_) => MorphKind::Unrolled,
-            MorphBackend::Skip(_) => MorphKind::Skip,
+    impl<'a, K, S> OrderedHandle<K> for MorphHandle<'a, K, S>
+    where
+        K: ShardKey,
+        S: ConcurrentOrderedSet<K> + 'a,
+        for<'b> S::Handle<'b>: OrderedHandle<K>,
+    {
+        fn range<R: RangeBounds<K>>(&mut self, range: R) -> Snapshot<K> {
+            morph_delegate!(self, h => h.range(range))
+        }
+
+        fn len_estimate(&mut self) -> usize {
+            morph_delegate!(self, h => h.len_estimate())
         }
     }
 
-    fn handle(&self) -> MorphHandle<'_, K, S> {
-        match self {
-            MorphBackend::List(b) => MorphHandle::List(b.handle()),
-            MorphBackend::Unrolled(b) => MorphHandle::Unrolled(b.handle()),
-            MorphBackend::Skip(b) => MorphHandle::Skip(b.handle()),
+    impl<K, S> ElasticBackend<K> for MorphBackend<K, S>
+    where
+        K: ShardKey,
+        S: ConcurrentOrderedSet<K> + 'static,
+        for<'a> S::Handle<'a>: OrderedHandle<K>,
+    {
+        type Handle<'a>
+            = MorphHandle<'a, K, S>
+        where
+            Self: 'a;
+        type Item = K;
+
+        const NAME: &'static str = "elastic_morph";
+        const MORPHS: bool = true;
+        const COMBINES: bool = true;
+
+        fn apply_delegated<'a>(handle: &mut MorphHandle<'a, K, S>, key: K, remove: bool) -> bool {
+            if remove {
+                handle.remove(key)
+            } else {
+                handle.add(key)
+            }
         }
-    }
 
-    fn item_key(item: &K) -> K {
-        *item
-    }
-
-    fn scan<'a>(handle: &mut MorphHandle<'a, K, S>, bounds: &ScanBounds<K>) -> Vec<K> {
-        morph_delegate!(handle, h => h.range(*bounds).into_vec())
-    }
-
-    fn load_sorted<'a>(handle: &mut MorphHandle<'a, K, S>, items: &mut [K]) {
-        morph_delegate!(handle, h => { h.add_batch(items); })
-    }
-
-    fn stats(handle: &MorphHandle<'_, K, S>) -> OpStats {
-        morph_delegate!(handle, h => h.stats())
-    }
-
-    fn drain_stats<'a>(handle: &mut MorphHandle<'a, K, S>) -> OpStats {
-        morph_delegate!(handle, h => h.take_stats())
-    }
-
-    fn len_estimate<'a>(handle: &mut MorphHandle<'a, K, S>) -> usize {
-        morph_delegate!(handle, h => h.len_estimate())
-    }
-
-    fn collect_items(&mut self) -> Vec<K> {
-        match self {
-            MorphBackend::List(b) => b.collect_keys(),
-            MorphBackend::Unrolled(b) => b.collect_keys(),
-            MorphBackend::Skip(b) => b.collect_keys(),
+        fn new() -> Self {
+            Self::new_kind(MorphKind::List)
         }
-    }
 
-    fn check(&mut self) -> Result<(), InvariantViolation> {
-        match self {
-            MorphBackend::List(b) => b.check_invariants(),
-            MorphBackend::Unrolled(b) => b.check_invariants(),
-            MorphBackend::Skip(b) => b.check_invariants(),
+        fn new_kind(kind: MorphKind) -> Self {
+            match kind {
+                MorphKind::List => MorphBackend::List(SinglyHintedList::new()),
+                MorphKind::Unrolled => MorphBackend::Unrolled(UnrolledArenaList::new()),
+                MorphKind::Skip => MorphBackend::Skip(S::new()),
+            }
+        }
+
+        fn kind(&self) -> MorphKind {
+            match self {
+                MorphBackend::List(_) => MorphKind::List,
+                MorphBackend::Unrolled(_) => MorphKind::Unrolled,
+                MorphBackend::Skip(_) => MorphKind::Skip,
+            }
+        }
+
+        fn handle(&self) -> MorphHandle<'_, K, S> {
+            match self {
+                MorphBackend::List(b) => MorphHandle::List(b.handle()),
+                MorphBackend::Unrolled(b) => MorphHandle::Unrolled(b.handle()),
+                MorphBackend::Skip(b) => MorphHandle::Skip(b.handle()),
+            }
+        }
+
+        fn item_key(item: &K) -> K {
+            *item
+        }
+
+        fn scan<'a>(handle: &mut MorphHandle<'a, K, S>, bounds: &ScanBounds<K>) -> Vec<K> {
+            handle.range(*bounds).into_vec()
+        }
+
+        fn load_sorted<'a>(handle: &mut MorphHandle<'a, K, S>, items: &mut [K]) {
+            handle.add_batch(items);
+        }
+
+        fn stats(handle: &MorphHandle<'_, K, S>) -> OpStats {
+            handle.stats()
+        }
+
+        fn drain_stats<'a>(handle: &mut MorphHandle<'a, K, S>) -> OpStats {
+            handle.take_stats()
+        }
+
+        fn len_estimate<'a>(handle: &mut MorphHandle<'a, K, S>) -> usize {
+            handle.len_estimate()
+        }
+
+        fn collect_items(&mut self) -> Vec<K> {
+            match self {
+                MorphBackend::List(b) => b.collect_keys(),
+                MorphBackend::Unrolled(b) => b.collect_keys(),
+                MorphBackend::Skip(b) => b.collect_keys(),
+            }
+        }
+
+        fn check(&mut self) -> Result<(), InvariantViolation> {
+            match self {
+                MorphBackend::List(b) => b.check_invariants(),
+                MorphBackend::Unrolled(b) => b.check_invariants(),
+                MorphBackend::Skip(b) => b.check_invariants(),
+            }
         }
     }
 }
+
+use backend::{ElasticBackend, MorphBackend, SetBackend};
 
 /// One backend shard plus its routing interval and migration state.
 struct ShardState<K, B> {
@@ -851,10 +908,13 @@ impl<K> CombineRegistry<K> {
 /// the old one through the epoch domain.
 struct RouterTable<K, B> {
     shards: Vec<Arc<ShardState<K, B>>>,
-    /// Live-table counter of the owning structure, decremented on drop.
-    /// Deliberately a plain `std` atomic outside the [`crate::sync`]
-    /// facade: it is diagnostic state (leak tests, quiescence draining),
-    /// not protocol state, and must not add model-checker scheduling
+    /// Live-table counter of the owning structure, decremented on drop
+    /// once the shard `Arc`s are released (`Release`, paired with the
+    /// `Acquire` load in `ElasticCore::tables_alive`), so quiescent code
+    /// that reads 1 owns every shard alone. Deliberately a plain `std`
+    /// atomic outside the [`crate::sync`] facade: it gates only the
+    /// quiescent paths (leak tests, `&mut self` accessors), no
+    /// concurrent protocol, and must not add model-checker scheduling
     /// points.
     alive: Arc<std::sync::atomic::AtomicUsize>,
 }
@@ -874,7 +934,12 @@ impl<K, B> RouterTable<K, B> {
 
 impl<K, B> Drop for RouterTable<K, B> {
     fn drop(&mut self) {
-        self.alive.fetch_sub(1, Relaxed);
+        // Release the shard `Arc`s *before* the decrement: a quiescent
+        // owner that reads `alive == 1` (`Acquire`) then finds every
+        // shard of the published table unshared, even when another
+        // thread's epoch flush is the one dropping this table.
+        drop(std::mem::take(&mut self.shards));
+        self.alive.fetch_sub(1, Release);
     }
 }
 
@@ -1320,41 +1385,17 @@ impl<K: ShardKey, B: ElasticBackend<K>> ElasticCore<K, B> {
         }
     }
 
-    /// Splits the shard owning `key`'s rank (deterministic test and
-    /// operational support). `true` iff a split committed.
-    fn force_split_at(&self, key: K) -> bool {
+    /// Runs the migration `op` on the shard owning `key`'s rank, under
+    /// the writer lock (deterministic test and operational support).
+    /// `true` iff it committed.
+    fn migrate_at(
+        &self,
+        key: K,
+        op: impl FnOnce(&Self, &MutexGuard<'_, ()>, usize) -> bool,
+    ) -> bool {
         let writer = self.writer.lock().unwrap();
         let idx = Self::route_in(&self.published(&writer).shards, key.rank64());
-        self.split_locked(&writer, idx)
-    }
-
-    /// Merges the shard owning `key`'s rank with its right neighbour.
-    /// `true` iff a merge committed.
-    fn force_merge_at(&self, key: K) -> bool {
-        let writer = self.writer.lock().unwrap();
-        let idx = Self::route_in(&self.published(&writer).shards, key.rank64());
-        self.merge_locked(&writer, idx)
-    }
-
-    /// Pins every current and future shard's flat-combining flag to
-    /// `on` and suspends the monitor's delegation sweep while pinned
-    /// (deterministic test and diagnostic support — the combine
-    /// protocol itself never depends on flag stability).
-    fn pin_combining(&self, on: bool) {
-        self.combine_pin.store(on, Relaxed);
-        self.with_published(|t| {
-            for s in t.shards.iter() {
-                s.combining.store(on, Relaxed);
-            }
-        });
-    }
-
-    /// Rebuilds the shard owning `key`'s rank in arm `kind`. `true` iff
-    /// it was running a different arm (and therefore morphed).
-    fn force_morph_at(&self, key: K, kind: MorphKind) -> bool {
-        let writer = self.writer.lock().unwrap();
-        let idx = Self::route_in(&self.published(&writer).shards, key.rank64());
-        self.morph_locked(&writer, idx, kind)
+        op(self, &writer, idx)
     }
 
     /// Runs `f` over the published table from a plain `&self` context
@@ -1370,15 +1411,10 @@ impl<K: ShardKey, B: ElasticBackend<K>> ElasticCore<K, B> {
         out
     }
 
-    /// Current number of shards.
-    fn shard_count(&self) -> usize {
-        self.with_published(|t| t.shards.len())
-    }
-
     /// Router tables of this structure currently allocated (1 when all
     /// retired generations have been collected).
     fn tables_alive(&self) -> usize {
-        self.tables_alive.load(Relaxed)
+        self.tables_alive.load(Acquire)
     }
 
     /// Drives the epoch collector until every retired table generation
@@ -1396,28 +1432,29 @@ impl<K: ShardKey, B: ElasticBackend<K>> ElasticCore<K, B> {
         panic!("retired router tables failed to collect on a quiescent structure");
     }
 
-    /// Exclusive access to the published table's shard list. Requires
-    /// `&mut self` (no handles, no concurrent migrations).
-    fn shards_mut(&mut self) -> &mut Vec<Arc<ShardState<K, B>>> {
+    /// Exclusive access to every shard of the published table, in key
+    /// order: the one path by which quiescent code reaches the shards.
+    /// Requires `&mut self` (no handles, no concurrent migrations).
+    fn shards_mut(&mut self) -> Vec<&mut ShardState<K, B>> {
         self.await_quiescence();
         let p = self.table.load(Acquire);
         // SAFETY: `&mut self` excludes readers and writers, and
         // `await_quiescence` drained every retired generation, so the
         // published `Arc` (leaked at publish, strong count 1) is solely
         // ours for the `&mut self` borrow.
-        unsafe { &mut (*p).shards }
+        let shards = unsafe { &mut (*p).shards };
+        shards
+            .iter_mut()
+            .map(|s| Arc::get_mut(s).expect("quiescent elastic structure still shares a shard"))
+            .collect()
     }
 
     /// Quiescent snapshot of all items across shards, ascending.
     fn collect_items(&mut self) -> Vec<B::Item> {
-        let table = self.shards_mut();
-        let mut out = Vec::new();
-        for shard in table.iter_mut() {
-            let shard =
-                Arc::get_mut(shard).expect("quiescent elastic structure still shares a shard");
-            out.extend(shard.backend.collect_items());
-        }
-        out
+        self.shards_mut()
+            .into_iter()
+            .flat_map(|shard| shard.backend.collect_items())
+            .collect()
     }
 
     /// Quiescent structural check: router table well-formedness, every
@@ -1430,13 +1467,11 @@ impl<K: ShardKey, B: ElasticBackend<K>> ElasticCore<K, B> {
         let bounds: Vec<(u64, Option<u64>)> = (0..table.len())
             .map(|i| (table[i].lo, table.get(i + 1).map(|s| s.lo)))
             .collect();
-        for (i, shard) in table.iter_mut().enumerate() {
+        for (i, shard) in table.into_iter().enumerate() {
             let (lo, hi) = bounds[i];
             if hi.is_some_and(|hi| hi <= lo) || shard.sealed.load(Relaxed) {
                 return Err(InvariantViolation::RouterCorrupt { interval: i });
             }
-            let shard =
-                Arc::get_mut(shard).expect("quiescent elastic structure still shares a shard");
             shard.backend.check()?;
             for (position, item) in shard.backend.collect_items().iter().enumerate() {
                 let rank = B::item_key(item).rank64();
@@ -2045,39 +2080,59 @@ impl<'s, K: ShardKey, B: ElasticBackend<K>> CoreHandle<'s, K, B> {
     }
 }
 
-/// An ordered set over elastically re-partitioned backend shards.
+/// An ordered set or map over elastically re-partitioned backend shards.
 ///
 /// The elastic counterpart of [`ShardedSet`](crate::sharded::ShardedSet):
 /// same monotone range partition, same per-thread shard-handle caches,
 /// but the partition **adapts** — see the [module docs](self) for the
-/// router, migration protocol and load monitor. Implements
-/// [`ConcurrentOrderedSet`], so the whole benchmark harness runs on it
-/// unchanged.
-pub struct ElasticSet<K: ShardKey, B: ConcurrentOrderedSet<K>> {
-    core: ElasticCore<K, SetBackend<K, B>>,
+/// router, migration protocol and load monitor. The backend `B` is named
+/// through one of the four presets: [`ElasticSet`], [`ElasticMorphSet`],
+/// [`ElasticCombineSet`] and [`ElasticMap`]. The three set presets
+/// implement [`ConcurrentOrderedSet`], so the whole benchmark harness
+/// runs on them unchanged.
+///
+/// `COMBINE` marks the [`ElasticCombineSet`] preset: its name and the
+/// [`LoadPolicy::combining`] default of [`new`](Elastic::new). It is a
+/// parameter of the front, not of the backend, so the two morphing
+/// presets share one instantiation of the core and its handle.
+pub struct Elastic<K, B, const COMBINE: bool = false> {
+    core: ElasticCore<K, B>,
 }
 
-impl<K, B> ElasticSet<K, B>
-where
-    K: ShardKey,
-    B: ConcurrentOrderedSet<K> + 'static,
-    for<'a> B::Handle<'a>: OrderedHandle<K>,
-{
-    /// Creates an empty set governed by `policy`.
+impl<K: ShardKey, B: ElasticBackend<K>, const COMBINE: bool> Elastic<K, B, COMBINE> {
+    /// Creates an empty structure under the preset's default policy:
+    /// [`LoadPolicy::combining`] for [`ElasticCombineSet`],
+    /// [`LoadPolicy::default`] for the others.
+    pub fn new() -> Self {
+        Self::with_policy(if COMBINE {
+            LoadPolicy::combining()
+        } else {
+            LoadPolicy::default()
+        })
+    }
+
+    /// Creates an empty structure governed by `policy`.
     pub fn with_policy(policy: LoadPolicy) -> Self {
-        ElasticSet {
+        Elastic {
             core: ElasticCore::new(policy),
         }
     }
 
-    /// The thresholds this set rebalances under.
+    /// Per-thread handle.
+    pub fn handle(&self) -> ElasticHandle<'_, K, B> {
+        ElasticHandle {
+            inner: self.core.handle(),
+        }
+    }
+
+    /// The thresholds this structure rebalances under.
     pub fn policy(&self) -> LoadPolicy {
         self.core.policy
     }
 
     /// Current number of shards.
     pub fn shard_count(&self) -> usize {
-        self.core.shard_count()
+        self.core.with_published(|t| t.shards.len())
     }
 
     /// The router version: bumped by every committed migration.
@@ -2098,13 +2153,13 @@ where
     /// Deterministically splits the shard owning `key` (test and
     /// operational support). `true` iff a split committed.
     pub fn force_split_at(&self, key: K) -> bool {
-        self.core.force_split_at(key)
+        self.core.migrate_at(key, ElasticCore::split_locked)
     }
 
     /// Deterministically merges the shard owning `key` with its right
     /// neighbour. `true` iff a merge committed.
     pub fn force_merge_at(&self, key: K) -> bool {
-        self.core.force_merge_at(key)
+        self.core.migrate_at(key, ElasticCore::merge_locked)
     }
 
     /// The intervals' lower rank bounds, ascending (diagnostics).
@@ -2113,255 +2168,57 @@ where
             .with_published(|t| t.shards.iter().map(|s| s.lo).collect())
     }
 
-    /// Router tables currently allocated for this set: the published one
-    /// plus any retired generations the epoch collector has not freed
-    /// yet. Settles back to 1 once collection catches up (leak tests).
+    /// Router tables currently allocated: the published one plus any
+    /// retired generations the epoch collector has not freed yet.
+    /// Settles back to 1 once collection catches up (leak tests).
     pub fn tables_alive(&self) -> usize {
         self.core.tables_alive()
     }
 
-    /// Pins every current and future shard's flat-combining flag to
-    /// `on` and suspends the monitor's delegation sweep while pinned
-    /// (deterministic tests and diagnostics).
-    pub fn pin_combining(&self, on: bool) {
-        self.core.pin_combining(on)
-    }
-
-    /// Times the monitor engaged delegation on a shard.
-    pub fn delegations(&self) -> u64 {
-        self.core.delegations.load(Relaxed)
-    }
-
-    /// Delegated ops applied by combiners so far (self-combined ops
-    /// included).
-    pub fn combined(&self) -> u64 {
-        self.core.combined.load(Relaxed)
-    }
-
-    /// Live keys per shard (quiescent).
+    /// Live items per shard, in key order (quiescent).
     pub fn shard_sizes(&mut self) -> Vec<usize> {
         self.core
             .shards_mut()
-            .iter_mut()
-            .map(|shard| {
-                Arc::get_mut(shard)
-                    .expect("quiescent elastic structure still shares a shard")
-                    .backend
-                    .collect_items()
-                    .len()
-            })
+            .into_iter()
+            .map(|shard| shard.backend.collect_items().len())
             .collect()
     }
-}
 
-impl<K, B> Default for ElasticSet<K, B>
-where
-    K: ShardKey,
-    B: ConcurrentOrderedSet<K> + 'static,
-    for<'a> B::Handle<'a>: OrderedHandle<K>,
-{
-    fn default() -> Self {
-        <Self as ConcurrentOrderedSet<K>>::new()
-    }
-}
-
-impl<K, B> ConcurrentOrderedSet<K> for ElasticSet<K, B>
-where
-    K: ShardKey,
-    B: ConcurrentOrderedSet<K> + 'static,
-    for<'a> B::Handle<'a>: OrderedHandle<K>,
-{
-    type Handle<'a>
-        = ElasticSetHandle<'a, K, B>
-    where
-        Self: 'a;
-
-    const NAME: &'static str = elastic_name(B::NAME);
-
-    fn new() -> Self {
-        Self::with_policy(LoadPolicy::default())
-    }
-
-    fn handle(&self) -> ElasticSetHandle<'_, K, B> {
-        ElasticSetHandle {
-            inner: self.core.handle(),
-        }
-    }
-
-    fn collect_keys(&mut self) -> Vec<K> {
-        // Shard order is key order; concatenation is sorted.
+    /// Quiescent snapshot of all items in key order: keys for the sets,
+    /// `(key, value)` pairs for the map.
+    pub fn collect(&mut self) -> Vec<B::Item> {
         self.core.collect_items()
     }
 
-    fn check_invariants(&mut self) -> Result<(), InvariantViolation> {
+    /// Quiescent structural check (router + shard backends + routing).
+    pub fn check_invariants(&mut self) -> Result<(), InvariantViolation> {
         self.core.check()
     }
 }
 
-/// Per-thread handle over an [`ElasticSet`].
-pub struct ElasticSetHandle<'s, K, B>
+impl<K: ShardKey, B: ElasticBackend<K>, const COMBINE: bool> Default for Elastic<K, B, COMBINE> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<K, B, const COMBINE: bool> Elastic<K, B, COMBINE>
 where
     K: ShardKey,
-    B: ConcurrentOrderedSet<K> + 'static,
+    B: ElasticBackend<K, Item = K>,
     for<'a> B::Handle<'a>: OrderedHandle<K>,
 {
-    inner: CoreHandle<'s, K, SetBackend<K, B>>,
-}
-
-impl<K, B> ElasticSetHandle<'_, K, B>
-where
-    K: ShardKey,
-    B: ConcurrentOrderedSet<K> + 'static,
-    for<'a> B::Handle<'a>: OrderedHandle<K>,
-{
-    /// Number of backend handles this thread has actually created.
-    pub fn cached_handles(&self) -> usize {
-        self.inner.cached_handles()
-    }
-}
-
-impl<K, B> SetHandle<K> for ElasticSetHandle<'_, K, B>
-where
-    K: ShardKey,
-    B: ConcurrentOrderedSet<K> + 'static,
-    for<'a> B::Handle<'a>: OrderedHandle<K>,
-{
-    fn add(&mut self, key: K) -> bool {
-        self.inner.update(key, false)
-    }
-
-    fn remove(&mut self, key: K) -> bool {
-        self.inner.update(key, true)
-    }
-
-    fn contains(&mut self, key: K) -> bool {
-        self.inner.with_shard_read(key, |h| h.contains(key))
-    }
-
-    fn add_batch(&mut self, keys: &mut [K]) -> usize {
-        self.inner.batched(keys, |h, run| h.add_batch(run))
-    }
-
-    fn remove_batch(&mut self, keys: &mut [K]) -> usize {
-        self.inner.batched(keys, |h, run| h.remove_batch(run))
-    }
-
-    fn stats(&self) -> OpStats {
-        self.inner.live_stats()
-    }
-
-    fn take_stats(&mut self) -> OpStats {
-        self.inner.take_stats()
-    }
-}
-
-impl<K, B> OrderedHandle<K> for ElasticSetHandle<'_, K, B>
-where
-    K: ShardKey,
-    B: ConcurrentOrderedSet<K> + 'static,
-    for<'a> B::Handle<'a>: OrderedHandle<K>,
-{
-    fn range<R: RangeBounds<K>>(&mut self, range: R) -> Snapshot<K> {
-        Snapshot::from_vec(self.inner.scan(&ScanBounds::from_range(&range)))
-    }
-
-    fn len_estimate(&mut self) -> usize {
-        self.inner.len_estimate()
-    }
-}
-
-/// An ordered set whose shards **morph** between backend types as they
-/// migrate: [`ElasticSet`]'s router and migration protocol, but each
-/// shard runs the [`MorphKind`] arm [`LoadPolicy::morph_kind`] picks
-/// for its population — flat hinted list when small, unrolled fat-node
-/// list in the middle, `S` (a skiplist in the benchmark harness) when
-/// large. See the [module docs](self#backend-morphing).
-///
-/// # Examples
-///
-/// ```
-/// use pragmatic_list::elastic::{ElasticMorphSet, LoadPolicy, MorphKind};
-/// use pragmatic_list::variants::SinglyCursorEpochList;
-/// use pragmatic_list::{ConcurrentOrderedSet, SetHandle};
-///
-/// // The large-shard arm is generic: any ordered set serves (the
-/// // benchmarks plug in the real skiplist).
-/// let set = ElasticMorphSet::<i64, SinglyCursorEpochList<i64>>::with_policy(LoadPolicy {
-///     initial_shards: 1,
-///     ..LoadPolicy::default()
-/// });
-/// let mut h = set.handle();
-/// for k in 0..100 {
-///     h.add(k);
-/// }
-/// // Deterministic morph: rebuild the shard owning key 0 unrolled.
-/// assert!(set.force_morph_at(0, MorphKind::Unrolled));
-/// assert_eq!(set.morphs(), 1);
-/// assert!(h.contains(42));
-/// ```
-pub struct ElasticMorphSet<K, S>
-where
-    K: ShardKey,
-    S: ConcurrentOrderedSet<K> + 'static,
-    for<'a> S::Handle<'a>: OrderedHandle<K>,
-{
-    core: ElasticCore<K, MorphBackend<K, S>>,
-}
-
-impl<K, S> ElasticMorphSet<K, S>
-where
-    K: ShardKey,
-    S: ConcurrentOrderedSet<K> + 'static,
-    for<'a> S::Handle<'a>: OrderedHandle<K>,
-{
-    /// Creates an empty set governed by `policy`.
-    pub fn with_policy(policy: LoadPolicy) -> Self {
-        ElasticMorphSet {
-            core: ElasticCore::new(policy),
-        }
-    }
-
-    /// The thresholds this set rebalances and morphs under.
-    pub fn policy(&self) -> LoadPolicy {
-        self.core.policy
-    }
-
-    /// Current number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.core.shard_count()
-    }
-
-    /// The router version: bumped by every committed migration.
-    pub fn router_version(&self) -> u64 {
-        self.core.version.load(Acquire)
-    }
-
-    /// Committed splits so far.
-    pub fn splits(&self) -> u64 {
-        self.core.splits.load(Relaxed)
-    }
-
-    /// Committed merges so far.
-    pub fn merges(&self) -> u64 {
-        self.core.merges.load(Relaxed)
-    }
-
-    /// Committed morphs so far (policy-driven and forced).
-    pub fn morphs(&self) -> u64 {
-        self.core.morphs.load(Relaxed)
-    }
-
-    /// Router tables currently allocated (published + retired awaiting
-    /// collection); settles back to 1 once collection catches up.
-    pub fn tables_alive(&self) -> usize {
-        self.core.tables_alive()
-    }
-
     /// Pins every current and future shard's flat-combining flag to
     /// `on` and suspends the monitor's delegation sweep while pinned
-    /// (deterministic tests and diagnostics).
+    /// (deterministic tests and diagnostics — the combine protocol
+    /// itself never depends on flag stability).
     pub fn pin_combining(&self, on: bool) {
-        self.core.pin_combining(on)
+        self.core.combine_pin.store(on, Relaxed);
+        self.core.with_published(|t| {
+            for s in t.shards.iter() {
+                s.combining.store(on, Relaxed);
+            }
+        });
     }
 
     /// Times the monitor engaged delegation on a shard.
@@ -2374,117 +2231,86 @@ where
     pub fn combined(&self) -> u64 {
         self.core.combined.load(Relaxed)
     }
+}
 
-    /// Deterministically splits the shard owning `key`.
-    pub fn force_split_at(&self, key: K) -> bool {
-        self.core.force_split_at(key)
+impl<K, B, const COMBINE: bool> ConcurrentOrderedSet<K> for Elastic<K, B, COMBINE>
+where
+    K: ShardKey,
+    B: ElasticBackend<K, Item = K>,
+    for<'a> B::Handle<'a>: OrderedHandle<K>,
+{
+    type Handle<'a>
+        = ElasticHandle<'a, K, B>
+    where
+        Self: 'a;
+
+    const NAME: &'static str = if COMBINE { "elastic_combine" } else { B::NAME };
+
+    fn new() -> Self {
+        Elastic::new()
     }
 
-    /// Deterministically merges the shard owning `key` with its right
-    /// neighbour.
-    pub fn force_merge_at(&self, key: K) -> bool {
-        self.core.force_merge_at(key)
+    fn handle(&self) -> ElasticHandle<'_, K, B> {
+        Elastic::handle(self)
+    }
+
+    fn collect_keys(&mut self) -> Vec<K> {
+        // Shard order is key order; concatenation is sorted.
+        self.collect()
+    }
+
+    fn check_invariants(&mut self) -> Result<(), InvariantViolation> {
+        Elastic::check_invariants(self)
+    }
+}
+
+impl<K, S, const COMBINE: bool> Elastic<K, MorphBackend<K, S>, COMBINE>
+where
+    K: ShardKey,
+    S: ConcurrentOrderedSet<K> + 'static,
+    for<'a> S::Handle<'a>: OrderedHandle<K>,
+{
+    /// Committed morphs so far (policy-driven and forced).
+    pub fn morphs(&self) -> u64 {
+        self.core.morphs.load(Relaxed)
     }
 
     /// Deterministically rebuilds the shard owning `key` in arm `kind`
     /// (test and operational support). `true` iff the shard was running
     /// a different arm.
     pub fn force_morph_at(&self, key: K, kind: MorphKind) -> bool {
-        self.core.force_morph_at(key, kind)
-    }
-
-    /// The intervals' lower rank bounds, ascending (diagnostics).
-    pub fn shard_bounds(&self) -> Vec<u64> {
-        self.core
-            .with_published(|t| t.shards.iter().map(|s| s.lo).collect())
+        self.core.migrate_at(key, |core, writer, idx| {
+            core.morph_locked(writer, idx, kind)
+        })
     }
 
     /// `(arm, live keys)` per shard, in key order (quiescent).
     pub fn shard_shapes(&mut self) -> Vec<(MorphKind, usize)> {
         self.core
             .shards_mut()
-            .iter_mut()
-            .map(|shard| {
-                let shard =
-                    Arc::get_mut(shard).expect("quiescent elastic structure still shares a shard");
-                let kind = shard.backend.kind();
-                (kind, shard.backend.collect_items().len())
-            })
+            .into_iter()
+            .map(|shard| (shard.backend.kind(), shard.backend.collect_items().len()))
             .collect()
     }
 }
 
-impl<K, S> Default for ElasticMorphSet<K, S>
-where
-    K: ShardKey,
-    S: ConcurrentOrderedSet<K> + 'static,
-    for<'a> S::Handle<'a>: OrderedHandle<K>,
-{
-    fn default() -> Self {
-        <Self as ConcurrentOrderedSet<K>>::new()
-    }
+/// Per-thread handle over an [`Elastic`] structure.
+pub struct ElasticHandle<'s, K: ShardKey, B: ElasticBackend<K>> {
+    inner: CoreHandle<'s, K, B>,
 }
 
-impl<K, S> ConcurrentOrderedSet<K> for ElasticMorphSet<K, S>
-where
-    K: ShardKey,
-    S: ConcurrentOrderedSet<K> + 'static,
-    for<'a> S::Handle<'a>: OrderedHandle<K>,
-{
-    type Handle<'a>
-        = ElasticMorphSetHandle<'a, K, S>
-    where
-        Self: 'a;
-
-    const NAME: &'static str = "elastic_morph";
-
-    fn new() -> Self {
-        Self::with_policy(LoadPolicy::default())
-    }
-
-    fn handle(&self) -> ElasticMorphSetHandle<'_, K, S> {
-        ElasticMorphSetHandle {
-            inner: self.core.handle(),
-        }
-    }
-
-    fn collect_keys(&mut self) -> Vec<K> {
-        // Shard order is key order; concatenation is sorted.
-        self.core.collect_items()
-    }
-
-    fn check_invariants(&mut self) -> Result<(), InvariantViolation> {
-        self.core.check()
-    }
-}
-
-/// Per-thread handle over an [`ElasticMorphSet`].
-pub struct ElasticMorphSetHandle<'s, K, S>
-where
-    K: ShardKey,
-    S: ConcurrentOrderedSet<K> + 'static,
-    for<'a> S::Handle<'a>: OrderedHandle<K>,
-{
-    inner: CoreHandle<'s, K, MorphBackend<K, S>>,
-}
-
-impl<K, S> ElasticMorphSetHandle<'_, K, S>
-where
-    K: ShardKey,
-    S: ConcurrentOrderedSet<K> + 'static,
-    for<'a> S::Handle<'a>: OrderedHandle<K>,
-{
+impl<K: ShardKey, B: ElasticBackend<K>> ElasticHandle<'_, K, B> {
     /// Number of backend handles this thread has actually created.
     pub fn cached_handles(&self) -> usize {
         self.inner.cached_handles()
     }
 }
 
-impl<K, S> SetHandle<K> for ElasticMorphSetHandle<'_, K, S>
+impl<K, B> SetHandle<K> for ElasticHandle<'_, K, B>
 where
     K: ShardKey,
-    S: ConcurrentOrderedSet<K> + 'static,
-    for<'a> S::Handle<'a>: OrderedHandle<K>,
+    B: ElasticBackend<K, Item = K>,
+    for<'a> B::Handle<'a>: OrderedHandle<K>,
 {
     fn add(&mut self, key: K) -> bool {
         self.inner.update(key, false)
@@ -2515,11 +2341,11 @@ where
     }
 }
 
-impl<K, S> OrderedHandle<K> for ElasticMorphSetHandle<'_, K, S>
+impl<K, B> OrderedHandle<K> for ElasticHandle<'_, K, B>
 where
     K: ShardKey,
-    S: ConcurrentOrderedSet<K> + 'static,
-    for<'a> S::Handle<'a>: OrderedHandle<K>,
+    B: ElasticBackend<K, Item = K>,
+    for<'a> B::Handle<'a>: OrderedHandle<K>,
 {
     fn range<R: RangeBounds<K>>(&mut self, range: R) -> Snapshot<K> {
         Snapshot::from_vec(self.inner.scan(&ScanBounds::from_range(&range)))
@@ -2530,252 +2356,7 @@ where
     }
 }
 
-/// An [`ElasticMorphSet`] with flat-combining delegation enabled: the
-/// monitor watches each shard's write share and, once it crosses
-/// [`LoadPolicy::combine_write_pct`], stops splitting the shard and
-/// instead funnels its write ops through one combiner at a time — each
-/// writer parks its op in a per-handle padded mailbox slot, one thread
-/// claims the shard's combiner lock, drains every pending slot in one
-/// sorted pass over the backend, and publishes per-op results back
-/// through the slots. Splitting moves a contended hot set to a child
-/// shard and leaves it just as contended; combining turns it into the
-/// amortized batch path and keeps the router table stable.
-///
-/// # Examples
-///
-/// ```
-/// use pragmatic_list::elastic::ElasticCombineSet;
-/// use pragmatic_list::variants::SinglyCursorEpochList;
-/// use pragmatic_list::{ConcurrentOrderedSet, SetHandle};
-///
-/// let set = ElasticCombineSet::<i64, SinglyCursorEpochList<i64>>::new();
-/// set.pin_combining(true); // deterministic: every shard delegates
-/// let mut h = set.handle();
-/// assert!(h.add(7));
-/// assert!(h.contains(7));
-/// assert!(h.remove(7));
-/// assert!(set.combined() >= 1);
-/// ```
-pub struct ElasticCombineSet<K, S>
-where
-    K: ShardKey,
-    S: ConcurrentOrderedSet<K> + 'static,
-    for<'a> S::Handle<'a>: OrderedHandle<K>,
-{
-    inner: ElasticMorphSet<K, S>,
-}
-
-impl<K, S> ElasticCombineSet<K, S>
-where
-    K: ShardKey,
-    S: ConcurrentOrderedSet<K> + 'static,
-    for<'a> S::Handle<'a>: OrderedHandle<K>,
-{
-    /// Creates an empty set governed by `policy` (delegation engages
-    /// only if `policy.combine_write_pct > 0`).
-    pub fn with_policy(policy: LoadPolicy) -> Self {
-        ElasticCombineSet {
-            inner: ElasticMorphSet::with_policy(policy),
-        }
-    }
-
-    /// The thresholds this set rebalances, morphs and delegates under.
-    pub fn policy(&self) -> LoadPolicy {
-        self.inner.policy()
-    }
-
-    /// Current number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.inner.shard_count()
-    }
-
-    /// Committed splits so far.
-    pub fn splits(&self) -> u64 {
-        self.inner.splits()
-    }
-
-    /// Committed merges so far.
-    pub fn merges(&self) -> u64 {
-        self.inner.merges()
-    }
-
-    /// Committed morphs so far.
-    pub fn morphs(&self) -> u64 {
-        self.inner.morphs()
-    }
-
-    /// Times the monitor engaged delegation on a shard.
-    pub fn delegations(&self) -> u64 {
-        self.inner.delegations()
-    }
-
-    /// Delegated ops applied by combiners so far (self-combined ops
-    /// included).
-    pub fn combined(&self) -> u64 {
-        self.inner.combined()
-    }
-
-    /// Pins every current and future shard's flat-combining flag to
-    /// `on` and suspends the monitor's delegation sweep while pinned
-    /// (deterministic tests and diagnostics).
-    pub fn pin_combining(&self, on: bool) {
-        self.inner.pin_combining(on)
-    }
-
-    /// Deterministically splits the shard owning `key`.
-    pub fn force_split_at(&self, key: K) -> bool {
-        self.inner.force_split_at(key)
-    }
-
-    /// Deterministically merges the shard owning `key` with its right
-    /// neighbour.
-    pub fn force_merge_at(&self, key: K) -> bool {
-        self.inner.force_merge_at(key)
-    }
-
-    /// Router tables currently allocated (published + retired awaiting
-    /// collection); settles back to 1 once collection catches up.
-    pub fn tables_alive(&self) -> usize {
-        self.inner.tables_alive()
-    }
-}
-
-impl<K, S> Default for ElasticCombineSet<K, S>
-where
-    K: ShardKey,
-    S: ConcurrentOrderedSet<K> + 'static,
-    for<'a> S::Handle<'a>: OrderedHandle<K>,
-{
-    fn default() -> Self {
-        <Self as ConcurrentOrderedSet<K>>::new()
-    }
-}
-
-impl<K, S> ConcurrentOrderedSet<K> for ElasticCombineSet<K, S>
-where
-    K: ShardKey,
-    S: ConcurrentOrderedSet<K> + 'static,
-    for<'a> S::Handle<'a>: OrderedHandle<K>,
-{
-    type Handle<'a>
-        = ElasticMorphSetHandle<'a, K, S>
-    where
-        Self: 'a;
-
-    const NAME: &'static str = "elastic_combine";
-
-    fn new() -> Self {
-        Self::with_policy(LoadPolicy::combining())
-    }
-
-    fn handle(&self) -> ElasticMorphSetHandle<'_, K, S> {
-        self.inner.handle()
-    }
-
-    fn collect_keys(&mut self) -> Vec<K> {
-        self.inner.collect_keys()
-    }
-
-    fn check_invariants(&mut self) -> Result<(), InvariantViolation> {
-        self.inner.check_invariants()
-    }
-}
-
-/// An ordered key→value map over elastically re-partitioned
-/// [`ListMap`] shards: the value-carrying counterpart of [`ElasticSet`],
-/// mirroring [`ShardedMap`](crate::sharded::ShardedMap)'s API.
-///
-/// # Examples
-///
-/// ```
-/// use pragmatic_list::elastic::{ElasticMap, LoadPolicy};
-///
-/// let map = ElasticMap::<i64, u64>::with_policy(LoadPolicy {
-///     min_split_keys: 2,
-///     ..LoadPolicy::default()
-/// });
-/// let mut h = map.handle();
-/// for k in [30i64, -7, 12, 99] {
-///     assert!(h.insert(k, k.unsigned_abs()));
-/// }
-/// assert!(map.force_split_at(10));
-/// assert_eq!(h.get(-7), Some(7));
-/// assert_eq!(h.remove(12), Some(12));
-/// assert_eq!(h.range(-10..=50).into_vec(), vec![(-7, 7), (30, 30)]);
-/// ```
-pub struct ElasticMap<K: ShardKey, V: Copy + Send + Sync + 'static> {
-    core: ElasticCore<K, ListMap<K, V>>,
-}
-
-impl<K: ShardKey, V: Copy + Send + Sync + 'static> Default for ElasticMap<K, V> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<K: ShardKey, V: Copy + Send + Sync + 'static> ElasticMap<K, V> {
-    /// Creates an empty map under the default [`LoadPolicy`].
-    pub fn new() -> Self {
-        Self::with_policy(LoadPolicy::default())
-    }
-
-    /// Creates an empty map governed by `policy`.
-    pub fn with_policy(policy: LoadPolicy) -> Self {
-        ElasticMap {
-            core: ElasticCore::new(policy),
-        }
-    }
-
-    /// Per-thread handle.
-    pub fn handle(&self) -> ElasticMapHandle<'_, K, V> {
-        ElasticMapHandle {
-            inner: self.core.handle(),
-        }
-    }
-
-    /// Current number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.core.shard_count()
-    }
-
-    /// Committed splits so far.
-    pub fn splits(&self) -> u64 {
-        self.core.splits.load(Relaxed)
-    }
-
-    /// Committed merges so far.
-    pub fn merges(&self) -> u64 {
-        self.core.merges.load(Relaxed)
-    }
-
-    /// Deterministically splits the shard owning `key`.
-    pub fn force_split_at(&self, key: K) -> bool {
-        self.core.force_split_at(key)
-    }
-
-    /// Deterministically merges the shard owning `key` with its right
-    /// neighbour.
-    pub fn force_merge_at(&self, key: K) -> bool {
-        self.core.force_merge_at(key)
-    }
-
-    /// Quiescent snapshot of all `(key, value)` pairs in key order.
-    pub fn collect(&mut self) -> Vec<(K, V)> {
-        self.core.collect_items()
-    }
-
-    /// Quiescent structural check (router + shard chains + routing).
-    pub fn check_invariants(&mut self) -> Result<(), InvariantViolation> {
-        self.core.check()
-    }
-}
-
-/// Per-thread handle over an [`ElasticMap`].
-pub struct ElasticMapHandle<'m, K: ShardKey, V: Copy + Send + Sync + 'static> {
-    inner: CoreHandle<'m, K, ListMap<K, V>>,
-}
-
-impl<K: ShardKey, V: Copy + Send + Sync + 'static> ElasticMapHandle<'_, K, V> {
+impl<K: ShardKey, V: Copy + Send + Sync + 'static> ElasticHandle<'_, K, ListMap<K, V>> {
     /// Inserts `key → value`; `true` iff the key was absent.
     pub fn insert(&mut self, key: K, value: V) -> bool {
         self.inner.with_shard(key, |h| h.insert(key, value))
@@ -2818,6 +2399,97 @@ impl<K: ShardKey, V: Copy + Send + Sync + 'static> ElasticMapHandle<'_, K, V> {
         self.inner.live_stats()
     }
 }
+
+/// An elastic set over any ordered-set backend `B`: every shard runs
+/// `B`. Its registry name derives from `B`'s (see [`elastic_name`]);
+/// built under [`LoadPolicy::default`].
+pub type ElasticSet<K, B> = Elastic<K, SetBackend<K, B>>;
+
+/// An elastic set whose shards **morph** between backend types as they
+/// migrate: [`ElasticSet`]'s router and migration protocol, but each
+/// shard runs the [`MorphKind`] arm [`LoadPolicy::morph_kind`] picks
+/// for its population — flat hinted list when small, unrolled fat-node
+/// list in the middle, `S` (a skiplist in the benchmark harness) when
+/// large. See the [module docs](self#backend-morphing). Named
+/// `elastic_morph`; built under [`LoadPolicy::default`].
+///
+/// # Examples
+///
+/// ```
+/// use pragmatic_list::elastic::{ElasticMorphSet, LoadPolicy, MorphKind};
+/// use pragmatic_list::variants::SinglyCursorEpochList;
+/// use pragmatic_list::{ConcurrentOrderedSet, SetHandle};
+///
+/// // The large-shard arm is generic: any ordered set serves (the
+/// // benchmarks plug in the real skiplist).
+/// let set = ElasticMorphSet::<i64, SinglyCursorEpochList<i64>>::with_policy(LoadPolicy {
+///     initial_shards: 1,
+///     ..LoadPolicy::default()
+/// });
+/// let mut h = set.handle();
+/// for k in 0..100 {
+///     h.add(k);
+/// }
+/// // Deterministic morph: rebuild the shard owning key 0 unrolled.
+/// assert!(set.force_morph_at(0, MorphKind::Unrolled));
+/// assert_eq!(set.morphs(), 1);
+/// assert!(h.contains(42));
+/// ```
+pub type ElasticMorphSet<K, S> = Elastic<K, MorphBackend<K, S>>;
+
+/// An [`ElasticMorphSet`] with flat-combining delegation enabled: the
+/// monitor watches each shard's write share and, once it crosses
+/// [`LoadPolicy::combine_write_pct`], stops splitting the shard and
+/// instead funnels its write ops through one combiner at a time — each
+/// writer parks its op in a per-handle padded mailbox slot, one thread
+/// claims the shard's combiner lock, drains every pending slot in one
+/// sorted pass over the backend, and publishes per-op results back
+/// through the slots. Splitting moves a contended hot set to a child
+/// shard and leaves it just as contended; combining turns it into the
+/// amortized batch path and keeps the router table stable. Named
+/// `elastic_combine`; built under [`LoadPolicy::combining`].
+///
+/// # Examples
+///
+/// ```
+/// use pragmatic_list::elastic::ElasticCombineSet;
+/// use pragmatic_list::variants::SinglyCursorEpochList;
+/// use pragmatic_list::{ConcurrentOrderedSet, SetHandle};
+///
+/// let set = ElasticCombineSet::<i64, SinglyCursorEpochList<i64>>::new();
+/// set.pin_combining(true); // deterministic: every shard delegates
+/// let mut h = set.handle();
+/// assert!(h.add(7));
+/// assert!(h.contains(7));
+/// assert!(h.remove(7));
+/// assert!(set.combined() >= 1);
+/// ```
+pub type ElasticCombineSet<K, S> = Elastic<K, MorphBackend<K, S>, true>;
+
+/// An ordered key→value map over elastically re-partitioned
+/// [`ListMap`] shards: the value-carrying counterpart of [`ElasticSet`],
+/// mirroring [`ShardedMap`](crate::sharded::ShardedMap)'s API. Built
+/// under [`LoadPolicy::default`]; maps never delegate writes.
+///
+/// # Examples
+///
+/// ```
+/// use pragmatic_list::elastic::{ElasticMap, LoadPolicy};
+///
+/// let map = ElasticMap::<i64, u64>::with_policy(LoadPolicy {
+///     min_split_keys: 2,
+///     ..LoadPolicy::default()
+/// });
+/// let mut h = map.handle();
+/// for k in [30i64, -7, 12, 99] {
+///     assert!(h.insert(k, k.unsigned_abs()));
+/// }
+/// assert!(map.force_split_at(10));
+/// assert_eq!(h.get(-7), Some(7));
+/// assert_eq!(h.remove(12), Some(12));
+/// assert_eq!(h.range(-10..=50).into_vec(), vec![(-7, 7), (30, 30)]);
+/// ```
+pub type ElasticMap<K, V> = Elastic<K, ListMap<K, V>>;
 
 #[cfg(test)]
 mod tests {
@@ -3166,6 +2838,51 @@ mod tests {
         );
     }
 
+    /// A foreign thread's epoch flush may be the one that frees a retired
+    /// router table. The quiescent accessors must still find every shard
+    /// of the published table unshared: `tables_alive` may only read 1
+    /// after the retired table has released its shard `Arc`s.
+    #[test]
+    fn quiescent_access_survives_foreign_collector_flushes() {
+        use std::sync::atomic::AtomicBool;
+        struct StopOnDrop<'a>(&'a AtomicBool);
+        impl Drop for StopOnDrop<'_> {
+            fn drop(&mut self) {
+                self.0.store(true, Relaxed);
+            }
+        }
+        let stop = AtomicBool::new(false);
+        let mut set = Set::with_policy(LoadPolicy {
+            initial_shards: 4,
+            min_split_keys: 4,
+            ..LoadPolicy::default()
+        });
+        {
+            let mut h = set.handle();
+            for k in 0..64 {
+                h.add(spread(k));
+            }
+        }
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    while !stop.load(Relaxed) {
+                        crossbeam_epoch::pin().flush();
+                    }
+                });
+            }
+            // Stops the flushers even if an assertion below panics, so
+            // the scope can join them.
+            let _stop = StopOnDrop(&stop);
+            for _ in 0..500 {
+                assert!(set.force_split_at(spread(32)));
+                set.check_invariants().unwrap();
+                assert!(set.force_merge_at(spread(0)));
+                assert_eq!(set.collect_keys().len(), 64);
+            }
+        });
+    }
+
     #[test]
     fn hinted_backend_survives_decommission() {
         // Per-thread search hints point at nodes of the backend shard;
@@ -3404,6 +3121,23 @@ mod tests {
         assert_eq!(CombineSet::NAME, "elastic_combine");
         assert_eq!(LoadPolicy::combining().combine_write_pct, 40);
         assert_eq!(LoadPolicy::default().combine_write_pct, 0);
+    }
+
+    /// The four presets are aliases of one `Elastic` type: each takes its
+    /// registry name and its default policy from the backend, so the fold
+    /// must not, say, silently turn `elastic_combine`'s combining off.
+    #[test]
+    fn preset_aliases_keep_names_and_default_policies() {
+        assert_eq!(Set::NAME, "elastic_singly");
+        assert_eq!(MorphSet::NAME, "elastic_morph");
+        assert_eq!(CombineSet::NAME, "elastic_combine");
+        assert_eq!(CombineSet::new().policy(), LoadPolicy::combining());
+        assert_eq!(MorphSet::new().policy(), LoadPolicy::default());
+        assert_eq!(Set::new().policy(), LoadPolicy::default());
+        assert_eq!(
+            ElasticMap::<i64, i64>::new().policy(),
+            LoadPolicy::default()
+        );
     }
 
     #[test]

@@ -67,10 +67,13 @@
 //! key→value sibling over [`map::ListMap`] shards.
 //!
 //! Static partitions lose to *drifting* hotspots; [`elastic`] adds
-//! load-aware resharding on top of the same monotone partition:
-//! [`ElasticSet`] / [`ElasticMap`] watch per-shard load online and split
+//! load-aware resharding on top of the same monotone partition. One
+//! type, [`elastic::Elastic`], watches per-shard load online and splits
 //! hot shards (merging cold ones) while concurrent operations run, under
-//! an injectable [`LoadPolicy`].
+//! an injectable [`LoadPolicy`]. Four preset aliases name its shard
+//! backend: [`ElasticSet`] (any ordered set), [`ElasticMorphSet`] and
+//! [`ElasticCombineSet`] (per-shard morphing, the latter with
+//! flat-combining delegation) and [`ElasticMap`] (key→value).
 //!
 //! ## Memory reclamation
 //!
