@@ -62,25 +62,9 @@ pub fn run<S: ConcurrentOrderedSet<i64>>(cfg: &BatchMixConfig) -> RunResult {
     assert!(cfg.threads > 0, "at least one thread");
     assert!(cfg.batch_width > 0, "batches need at least one key");
     assert!(cfg.mix.is_valid(), "batch mix must sum to 100");
-    assert!(cfg.key_range > 0);
     let list = S::new();
     // Same prefill as the random mix, same seed stream.
-    {
-        assert!(
-            (cfg.prefill as u128) <= cfg.key_range as u128,
-            "cannot prefill {} distinct keys from a range of {}",
-            cfg.prefill,
-            cfg.key_range
-        );
-        let mut rng = GlibcRandom::new(thread_seed(cfg.seed, usize::MAX >> 1));
-        let mut h = list.handle();
-        let mut inserted = 0;
-        while inserted < cfg.prefill {
-            if h.add(rng.below(cfg.key_range) as i64) {
-                inserted += 1;
-            }
-        }
-    }
+    crate::random_mix::prefill_uniform(&list, cfg.prefill, cfg.key_range, cfg.seed);
 
     let barrier = Barrier::new(cfg.threads + 1);
     let (wall, stats) = std::thread::scope(|scope| {

@@ -5,19 +5,12 @@
 //! happen indefinitely". Mean throughput (the paper's metric) hides
 //! that; per-operation latency percentiles expose it. This module adds a
 //! log₂-bucketed histogram (constant memory, ~1 ns resolution floor,
-//! mergeable across threads) and a sampled variant of the random-mix
-//! driver: every `sample_every`-th operation is timed with `Instant`,
-//! which keeps the probe overhead off the un-sampled fast path.
+//! mergeable across threads) and [`Sampled`], the latency twin of every
+//! mixed-op workload: every `sample_every`-th operation is timed with
+//! `Instant`, which keeps the probe overhead off the un-sampled fast
+//! path.
 //!
 //! `repro latency` prints p50/p90/p99/p99.9/max per variant.
-
-use std::sync::Barrier;
-use std::time::Instant;
-
-use glibc_rand::{thread_seed, GlibcRandom};
-use pragmatic_list::{ConcurrentOrderedSet, SetHandle};
-
-use crate::config::RandomMixConfig;
 
 const BUCKETS: usize = 64;
 
@@ -112,75 +105,27 @@ impl LatencyHistogram {
     }
 }
 
-/// Random-mix run with every `sample_every`-th operation timed.
+/// A mixed-op workload with every `sample_every`-th operation timed.
 ///
-/// Returns the merged histogram; throughput measurement is *not*
-/// reported (sampling perturbs it — use [`crate::random_mix::run`] for
-/// that).
-pub fn run_sampled<S: ConcurrentOrderedSet<i64>>(
-    cfg: &RandomMixConfig,
-    sample_every: u64,
-) -> LatencyHistogram {
-    assert!(cfg.threads > 0 && sample_every > 0);
-    assert!(cfg.mix.is_valid());
-    let list = S::new();
-    // Prefill (same scheme as the unsampled driver).
-    {
-        let mut rng = GlibcRandom::new(thread_seed(cfg.seed, usize::MAX >> 1));
-        let mut h = list.handle();
-        let mut inserted = 0;
-        while inserted < cfg.prefill {
-            if h.add(rng.below(cfg.key_range) as i64) {
-                inserted += 1;
-            }
-        }
-    }
-    let barrier = Barrier::new(cfg.threads);
-    std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..cfg.threads)
-            .map(|t| {
-                let list = &list;
-                let barrier = &barrier;
-                let cfg = *cfg;
-                scope.spawn(move || {
-                    let mut h = list.handle();
-                    let mut rng = GlibcRandom::new(thread_seed(cfg.seed, t));
-                    let mut hist = LatencyHistogram::new();
-                    barrier.wait();
-                    let add_bound = cfg.mix.add;
-                    let rem_bound = cfg.mix.add + cfg.mix.remove;
-                    for i in 0..cfg.ops_per_thread {
-                        let op = rng.below(100);
-                        let key = rng.below(cfg.key_range) as i64;
-                        let probe = i % sample_every == 0;
-                        let start = probe.then(Instant::now);
-                        if op < add_bound {
-                            h.add(key);
-                        } else if op < rem_bound {
-                            h.remove(key);
-                        } else {
-                            h.contains(key);
-                        }
-                        if let Some(s) = start {
-                            hist.record(s.elapsed().as_nanos() as u64);
-                        }
-                    }
-                    hist
-                })
-            })
-            .collect();
-        let mut total = LatencyHistogram::new();
-        for w in workers {
-            total.merge(&w.join().unwrap());
-        }
-        total
-    })
+/// `Sampled<RandomMixConfig>` and `Sampled<ZipfianMixConfig>` report one
+/// merged [`LatencyHistogram`]; `Sampled<PhasedConfig>` reports one per
+/// phase ([`PhasedLatency`](crate::phased::PhasedLatency)) — the view that
+/// exposes what an elastic seal, migration or morph costs when the
+/// hotspot lands on it. Throughput is not reported: the probes perturb
+/// it, so run the bare config for that.
+#[derive(Debug, Clone, Copy)]
+pub struct Sampled<C> {
+    /// The workload's parameters.
+    pub cfg: C,
+    /// Sampling period (1 = time every operation).
+    pub sample_every: u64,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::OpMix;
+    use crate::config::{OpMix, RandomMixConfig};
+    use crate::Workload;
     use pragmatic_list::variants::{DoublyCursorList, DraconicList};
 
     #[test]
@@ -261,9 +206,32 @@ mod tests {
             mix: OpMix::READ_HEAVY,
             seed: 5,
         };
-        let hist = run_sampled::<DraconicList<i64>>(&cfg, 10);
+        let hist = Sampled {
+            cfg,
+            sample_every: 10,
+        }
+        .run::<DraconicList<i64>>();
         assert_eq!(hist.count(), 2 * 100, "every 10th of 1000 ops per thread");
         assert!(hist.max_ns() > 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot prefill")]
+    fn sampled_prefill_larger_than_range_panics() {
+        // Without the bound check this prefill loop never ends.
+        let cfg = RandomMixConfig {
+            threads: 1,
+            ops_per_thread: 10,
+            prefill: 300,
+            key_range: 256,
+            mix: OpMix::READ_HEAVY,
+            seed: 5,
+        };
+        Sampled {
+            cfg,
+            sample_every: 1,
+        }
+        .run::<DraconicList<i64>>();
     }
 
     #[test]
@@ -278,8 +246,12 @@ mod tests {
             mix: OpMix::READ_HEAVY,
             seed: 6,
         };
-        let a = run_sampled::<DraconicList<i64>>(&cfg, 8);
-        let f = run_sampled::<DoublyCursorList<i64>>(&cfg, 8);
+        let w = Sampled {
+            cfg,
+            sample_every: 8,
+        };
+        let a = w.run::<DraconicList<i64>>();
+        let f = w.run::<DoublyCursorList<i64>>();
         assert!(f.quantile_ns(0.5) <= a.quantile_ns(0.5).saturating_mul(4));
     }
 }

@@ -42,10 +42,11 @@ pub mod zipfian;
 
 pub use batch::BatchMixConfig;
 pub use config::{DeterministicConfig, KeyPattern, OpMix, RandomMixConfig};
+pub use latency::Sampled;
 pub use phased::{Phase, PhasedConfig, PhasedLatency, PhasedResult};
 pub use pragmatic_list::OpStats;
 pub use presets::{Experiment, Scale, WorkloadSpec};
 pub use result::RunResult;
 pub use variant::{Variant, VariantVisitor};
-pub use workload::{LatencySampled, PhasedLatencySampled, Workload, ZipfLatencySampled};
+pub use workload::{MixWorkload, Workload};
 pub use zipfian::ZipfianMixConfig;

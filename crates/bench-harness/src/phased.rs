@@ -19,14 +19,14 @@
 //! separately, and the aggregate is what a run reports through the
 //! [`Workload`](crate::workload::Workload) impl.
 
-use std::sync::Barrier;
-use std::time::{Duration, Instant};
-
-use glibc_rand::{thread_seed, GlibcRandom, Zipfian};
-use pragmatic_list::{ConcurrentOrderedSet, OpStats, SetHandle};
+use glibc_rand::{GlibcRandom, Zipfian};
+use pragmatic_list::{ConcurrentOrderedSet, SetHandle};
 
 use crate::config::OpMix;
+use crate::latency::{LatencyHistogram, Sampled};
+use crate::random_mix::{drive, PhaseRun};
 use crate::result::RunResult;
+use crate::workload::MixWorkload;
 use crate::zipfian::ZipfianMixConfig;
 
 /// One phase of a time-varying workload: a Zipfian operation mix with
@@ -112,18 +112,19 @@ pub struct PhasedResult {
 }
 
 /// The per-phase and aggregate latency outcome of one sampled phased
-/// run (see [`run_sampled`]).
+/// run (see [`Sampled`]).
 #[derive(Debug, Clone)]
 pub struct PhasedLatency {
     /// One merged histogram per phase, in phase order.
-    pub phases: Vec<crate::latency::LatencyHistogram>,
+    pub phases: Vec<LatencyHistogram>,
     /// All phases merged: the whole run's distribution.
-    pub total: crate::latency::LatencyHistogram,
+    pub total: LatencyHistogram,
 }
 
 /// Prefills `list` with `cfg.prefill` distinct keys, hottest ranks of
-/// the *first* phase first (with linear probing past hash collisions,
-/// as the static Zipfian prefill).
+/// the *first* phase first, so the keys it will hammer exist from the
+/// start. Scrambled placement can map two ranks to one key; walking past
+/// rank `U` into linear probing still reaches `prefill` distinct keys.
 fn prefill<S: ConcurrentOrderedSet<i64>>(list: &S, cfg: &PhasedConfig) {
     assert!(
         (cfg.prefill as u128) <= cfg.key_range as u128,
@@ -148,223 +149,130 @@ fn prefill<S: ConcurrentOrderedSet<i64>>(list: &S, cfg: &PhasedConfig) {
     }
 }
 
-/// Runs the phased workload on a fresh instance of list variant `S`.
-pub fn run<S: ConcurrentOrderedSet<i64>>(cfg: &PhasedConfig) -> PhasedResult {
-    let list = S::new();
-    run_prebuilt(&list, cfg)
-}
-
-/// Runs the phased workload on `list` (assumed empty: the prefill runs
-/// here). Exposed so ablations can construct the structure themselves —
-/// e.g. an elastic set under a non-default
-/// [`LoadPolicy`](pragmatic_list::LoadPolicy) — and still use this
-/// driver.
-pub fn run_prebuilt<S: ConcurrentOrderedSet<i64>>(list: &S, cfg: &PhasedConfig) -> PhasedResult {
-    assert!(cfg.threads > 0, "at least one thread");
-    assert!(!cfg.phases.is_empty(), "at least one phase");
-    for p in &cfg.phases {
-        assert!(p.mix.is_valid(), "phase mix must sum to 100");
-        assert!((0.0..1.0).contains(&p.theta), "phase θ must be in [0, 1)");
-        assert!(
-            (0.0..1.0).contains(&p.hotspot),
-            "phase hotspot must be in [0, 1)"
-        );
-    }
-    assert!(cfg.key_range > 0);
-    prefill(list, cfg);
-    // One sampler per phase (construction is O(U); sampling stateless).
-    let samplers: Vec<Zipfian> = cfg
-        .phases
-        .iter()
-        .map(|p| Zipfian::new(cfg.key_range as u64, p.theta))
-        .collect();
-
-    let barrier = Barrier::new(cfg.threads + 1);
-    let (walls, stats) = std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..cfg.threads)
-            .map(|t| {
-                let list = &list;
-                let barrier = &barrier;
-                let samplers = &samplers;
-                let cfg = &cfg;
-                scope.spawn(move || {
-                    let mut h = list.handle();
-                    let mut rng = GlibcRandom::new(thread_seed(cfg.seed, t));
-                    let mut per_phase: Vec<OpStats> = Vec::with_capacity(cfg.phases.len());
-                    for (pi, phase) in cfg.phases.iter().enumerate() {
-                        barrier.wait(); // phase start
-                        let zipf = &samplers[pi];
-                        let add_bound = phase.mix.add;
-                        let rem_bound = phase.mix.add + phase.mix.remove;
-                        for _ in 0..phase.ops_per_thread {
-                            let op = rng.below(100);
-                            let key = cfg.key_of(phase, zipf.sample(&mut rng));
-                            if op < add_bound {
-                                h.add(key);
-                            } else if op < rem_bound {
-                                h.remove(key);
-                            } else {
-                                h.contains(key);
-                            }
-                        }
-                        barrier.wait(); // phase end
-                        per_phase.push(h.take_stats());
-                    }
-                    per_phase
-                })
-            })
-            .collect();
-        let mut walls: Vec<Duration> = Vec::with_capacity(cfg.phases.len());
-        for _ in &cfg.phases {
-            barrier.wait();
-            let start = Instant::now();
-            barrier.wait();
-            walls.push(start.elapsed());
+impl PhasedConfig {
+    /// Prefills `list` and runs every phase on it.
+    fn drive<S: ConcurrentOrderedSet<i64>>(
+        &self,
+        list: &S,
+        sample_every: Option<u64>,
+    ) -> Vec<PhaseRun> {
+        assert!(!self.phases.is_empty(), "at least one phase");
+        for p in &self.phases {
+            assert!((0.0..1.0).contains(&p.theta), "phase θ must be in [0, 1)");
+            assert!(
+                (0.0..1.0).contains(&p.hotspot),
+                "phase hotspot must be in [0, 1)"
+            );
         }
-        let per_thread: Vec<Vec<OpStats>> =
-            workers.into_iter().map(|w| w.join().unwrap()).collect();
-        let stats: Vec<OpStats> = (0..cfg.phases.len())
-            .map(|pi| per_thread.iter().map(|v| v[pi]).sum())
+        assert!(self.key_range > 0);
+        prefill(list, self);
+        // One sampler per phase (construction is O(U); sampling stateless).
+        let samplers: Vec<Zipfian> = self
+            .phases
+            .iter()
+            .map(|p| Zipfian::new(self.key_range as u64, p.theta))
             .collect();
-        (walls, stats)
-    });
+        let plan: Vec<(u64, OpMix)> = self
+            .phases
+            .iter()
+            .map(|p| (p.ops_per_thread, p.mix))
+            .collect();
+        let key = |pi: usize, rng: &mut GlibcRandom| {
+            self.key_of(&self.phases[pi], samplers[pi].sample(rng))
+        };
+        drive(list, self.threads, self.seed, &plan, key, sample_every)
+    }
+}
 
-    let phases: Vec<RunResult> = cfg
-        .phases
-        .iter()
-        .zip(walls.iter().zip(stats.iter()))
-        .map(|(phase, (&wall, &stats))| RunResult {
+/// The static Zipfian mix is one phase at hotspot 0, where
+/// [`PhasedConfig::key_of`] is exactly [`ZipfianMixConfig::key_of_rank`].
+fn one_phase(z: &ZipfianMixConfig) -> PhasedConfig {
+    PhasedConfig {
+        threads: z.threads,
+        prefill: z.prefill,
+        key_range: z.key_range,
+        seed: z.seed,
+        phases: vec![Phase {
+            ops_per_thread: z.ops_per_thread,
+            mix: z.mix,
+            theta: z.theta,
+            hotspot: 0.0,
+            scramble: z.scramble,
+        }],
+    }
+}
+
+/// The phased (time-varying) workload: one result per phase plus the
+/// aggregate.
+impl MixWorkload for PhasedConfig {
+    type Output = PhasedResult;
+
+    fn run_prebuilt<S: ConcurrentOrderedSet<i64>>(&self, list: &S) -> PhasedResult {
+        let phases: Vec<RunResult> = self
+            .drive(list, None)
+            .iter()
+            .zip(&self.phases)
+            .map(|(run, p)| run.result::<S>(p.ops_per_thread, self.threads))
+            .collect();
+        let total = RunResult {
             variant: S::NAME.to_string(),
-            wall,
-            total_ops: phase.ops_per_thread * cfg.threads as u64,
-            stats,
-            threads: cfg.threads,
-        })
-        .collect();
-    let total = RunResult {
-        variant: S::NAME.to_string(),
-        wall: walls.iter().sum(),
-        total_ops: cfg.total_ops(),
-        stats: stats.iter().copied().sum(),
-        threads: cfg.threads,
-    };
-    PhasedResult { phases, total }
-}
-
-/// Phased run with every `sample_every`-th operation timed, on a fresh
-/// instance of `S` — the phased analogue of
-/// [`crate::latency::run_sampled`]. The interesting object is the
-/// *per-phase* histogram: a phase whose hotspot lands on a new shard is
-/// where the elastic sets seal, migrate and (for the morphing variant)
-/// rebuild backends, and those stalls appear in that phase's p99 while
-/// the mean throughput hides them.
-///
-/// Throughput is *not* reported (probe overhead perturbs it — use
-/// [`run`] for that).
-pub fn run_sampled<S: ConcurrentOrderedSet<i64>>(
-    cfg: &PhasedConfig,
-    sample_every: u64,
-) -> PhasedLatency {
-    let list = S::new();
-    run_sampled_prebuilt(&list, cfg, sample_every)
-}
-
-/// [`run_sampled`] on a caller-built `list` (assumed empty: the prefill
-/// runs here), mirroring [`run_prebuilt`] for policy ablations.
-pub fn run_sampled_prebuilt<S: ConcurrentOrderedSet<i64>>(
-    list: &S,
-    cfg: &PhasedConfig,
-    sample_every: u64,
-) -> PhasedLatency {
-    use crate::latency::LatencyHistogram;
-    assert!(cfg.threads > 0, "at least one thread");
-    assert!(sample_every > 0, "sampling period must be positive");
-    assert!(!cfg.phases.is_empty(), "at least one phase");
-    for p in &cfg.phases {
-        assert!(p.mix.is_valid(), "phase mix must sum to 100");
-        assert!((0.0..1.0).contains(&p.theta), "phase θ must be in [0, 1)");
-        assert!(
-            (0.0..1.0).contains(&p.hotspot),
-            "phase hotspot must be in [0, 1)"
-        );
+            wall: phases.iter().map(|p| p.wall).sum(),
+            total_ops: self.total_ops(),
+            stats: phases.iter().map(|p| p.stats).sum(),
+            threads: self.threads,
+        };
+        PhasedResult { phases, total }
     }
-    assert!(cfg.key_range > 0);
-    prefill(list, cfg);
-    let samplers: Vec<Zipfian> = cfg
-        .phases
-        .iter()
-        .map(|p| Zipfian::new(cfg.key_range as u64, p.theta))
-        .collect();
+}
 
-    // No main-thread wall measurement, so the barrier spans workers only
-    // (each phase boundary must still be a global event: the histogram
-    // of phase i must not absorb probes taken under phase i+1's mix).
-    let barrier = Barrier::new(cfg.threads);
-    let per_phase_hists = std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..cfg.threads)
-            .map(|t| {
-                let list = &list;
-                let barrier = &barrier;
-                let samplers = &samplers;
-                let cfg = &cfg;
-                scope.spawn(move || {
-                    let mut h = list.handle();
-                    let mut rng = GlibcRandom::new(thread_seed(cfg.seed, t));
-                    let mut per_phase: Vec<LatencyHistogram> = Vec::with_capacity(cfg.phases.len());
-                    for (pi, phase) in cfg.phases.iter().enumerate() {
-                        barrier.wait(); // phase start
-                        let zipf = &samplers[pi];
-                        let mut hist = LatencyHistogram::new();
-                        let add_bound = phase.mix.add;
-                        let rem_bound = phase.mix.add + phase.mix.remove;
-                        for i in 0..phase.ops_per_thread {
-                            let op = rng.below(100);
-                            let key = cfg.key_of(phase, zipf.sample(&mut rng));
-                            let probe = i % sample_every == 0;
-                            let start = probe.then(Instant::now);
-                            if op < add_bound {
-                                h.add(key);
-                            } else if op < rem_bound {
-                                h.remove(key);
-                            } else {
-                                h.contains(key);
-                            }
-                            if let Some(s) = start {
-                                hist.record(s.elapsed().as_nanos() as u64);
-                            }
-                        }
-                        per_phase.push(hist);
-                    }
-                    per_phase
-                })
-            })
+/// The phased workload with per-phase latency sampling. A phase whose
+/// hotspot lands on a new shard is where the elastic sets seal, migrate
+/// and (for the morphing variant) rebuild backends; those stalls appear
+/// in that phase's p99 while the mean throughput hides them.
+impl MixWorkload for Sampled<PhasedConfig> {
+    type Output = PhasedLatency;
+
+    fn run_prebuilt<S: ConcurrentOrderedSet<i64>>(&self, list: &S) -> PhasedLatency {
+        let phases: Vec<LatencyHistogram> = self
+            .cfg
+            .drive(list, Some(self.sample_every))
+            .into_iter()
+            .map(|run| run.hist)
             .collect();
-        let per_thread: Vec<Vec<LatencyHistogram>> =
-            workers.into_iter().map(|w| w.join().unwrap()).collect();
-        (0..cfg.phases.len())
-            .map(|pi| {
-                let mut merged = LatencyHistogram::new();
-                for thread in &per_thread {
-                    merged.merge(&thread[pi]);
-                }
-                merged
-            })
-            .collect::<Vec<_>>()
-    });
-
-    let mut total = crate::latency::LatencyHistogram::new();
-    for h in &per_phase_hists {
-        total.merge(h);
+        let mut total = LatencyHistogram::new();
+        for h in &phases {
+            total.merge(h);
+        }
+        PhasedLatency { phases, total }
     }
-    PhasedLatency {
-        phases: per_phase_hists,
-        total,
+}
+
+/// The Zipfian-skewed mix (see [`crate::zipfian`]).
+impl MixWorkload for ZipfianMixConfig {
+    type Output = RunResult;
+
+    fn run_prebuilt<S: ConcurrentOrderedSet<i64>>(&self, list: &S) -> RunResult {
+        one_phase(self).run_prebuilt(list).total
+    }
+}
+
+/// The Zipfian mix with per-operation latency sampling. Under skew the
+/// hot ranks sit at the front of the traversal order, so the
+/// percentiles separate the hot-key fast path from the cold-key tail.
+impl MixWorkload for Sampled<ZipfianMixConfig> {
+    type Output = LatencyHistogram;
+
+    fn run_prebuilt<S: ConcurrentOrderedSet<i64>>(&self, list: &S) -> LatencyHistogram {
+        let cfg = one_phase(&self.cfg);
+        let sample_every = self.sample_every;
+        Sampled { cfg, sample_every }.run_prebuilt(list).total
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Workload;
     use pragmatic_list::elastic::{ElasticSet, LoadPolicy};
     use pragmatic_list::sharded::{shard_of, ShardedSet};
     use pragmatic_list::variants::SinglyCursorList;
@@ -392,7 +300,7 @@ mod tests {
     #[test]
     fn runs_all_phases_and_aggregates() {
         let c = cfg(2, vec![phase(0.0, 0.9, 800), phase(0.5, 0.5, 400)]);
-        let r = run::<SinglyCursorList<i64>>(&c);
+        let r = c.run::<SinglyCursorList<i64>>();
         assert_eq!(r.phases.len(), 2);
         assert_eq!(r.phases[0].total_ops, 1_600);
         assert_eq!(r.phases[1].total_ops, 800);
@@ -408,8 +316,8 @@ mod tests {
     #[test]
     fn single_thread_same_seed_is_reproducible() {
         let c = cfg(1, vec![phase(0.0, 0.99, 1_000), phase(0.7, 0.9, 1_000)]);
-        let a = run::<SinglyCursorList<i64>>(&c);
-        let b = run::<SinglyCursorList<i64>>(&c);
+        let a = c.run::<SinglyCursorList<i64>>();
+        let b = c.run::<SinglyCursorList<i64>>();
         assert_eq!(a.total.stats, b.total.stats);
         for (x, y) in a.phases.iter().zip(b.phases.iter()) {
             assert_eq!(x.stats, y.stats);
@@ -468,7 +376,7 @@ mod tests {
             min_split_keys: 8,
             ..LoadPolicy::default()
         });
-        let r = run_prebuilt(&set, &c);
+        let r = c.run_prebuilt(&set);
         assert_eq!(r.total.total_ops, c.total_ops());
         assert!(
             set.splits() > 0,
@@ -492,8 +400,8 @@ mod tests {
             ..LoadPolicy::default()
         });
         let staticly = ShardedSet::<i64, SinglyCursorList<i64>, 8>::new();
-        let a = run_prebuilt(&elastic, &c);
-        let b = run_prebuilt(&staticly, &c);
+        let a = c.run_prebuilt(&elastic);
+        let b = c.run_prebuilt(&staticly);
         assert_eq!(a.total.stats.adds, b.total.stats.adds);
         assert_eq!(a.total.stats.rems, b.total.stats.rems);
         let (mut elastic, mut staticly) = (elastic, staticly);
@@ -504,13 +412,17 @@ mod tests {
     #[should_panic(expected = "at least one phase")]
     fn empty_phase_list_panics() {
         let c = cfg(1, vec![]);
-        run::<SinglyCursorList<i64>>(&c);
+        c.run::<SinglyCursorList<i64>>();
     }
 
     #[test]
     fn sampled_run_counts_probes_per_phase() {
         let c = cfg(2, vec![phase(0.0, 0.9, 800), phase(0.5, 0.5, 400)]);
-        let lat = run_sampled::<SinglyCursorList<i64>>(&c, 10);
+        let lat = Sampled {
+            cfg: c,
+            sample_every: 10,
+        }
+        .run::<SinglyCursorList<i64>>();
         assert_eq!(lat.phases.len(), 2);
         // Every 10th of 800 (resp. 400) ops per thread, two threads.
         assert_eq!(lat.phases[0].count(), 2 * 80);
@@ -545,7 +457,11 @@ mod tests {
             min_split_keys: 8,
             ..LoadPolicy::default()
         });
-        let lat = run_sampled_prebuilt(&set, &c, 16);
+        let lat = Sampled {
+            cfg: c,
+            sample_every: 16,
+        }
+        .run_prebuilt(&set);
         assert_eq!(lat.phases.len(), 5);
         assert!(set.splits() > 0, "drift must trip the load monitor");
         let mut set = set;

@@ -8,12 +8,20 @@
 //! only match over variants is [`Variant::dispatch`]; a workload is one
 //! `impl Workload` and runs on all variants via [`Variant::run`].
 //!
-//! The three built-in workloads are implemented here:
+//! The built-in workloads:
 //!
 //! * [`DeterministicConfig`] → the deterministic worst-case benchmark,
 //! * [`RandomMixConfig`] → the random operation-mix benchmark,
-//! * [`LatencySampled`] → the random mix with per-operation latency
-//!   sampling.
+//! * [`ZipfianMixConfig`] → the random mix over Zipfian-skewed keys,
+//! * [`PhasedConfig`] → a sequence of Zipfian phases with a moving
+//!   hotspot,
+//! * [`BatchMixConfig`] → the random mix issued as key batches,
+//! * [`Sampled`] over the random, Zipfian or phased mix → that mix with
+//!   per-operation latency sampling.
+//!
+//! The random, Zipfian and phased mixes and their sampled twins are
+//! [`MixWorkload`]s: they also run on a caller-built structure, and all
+//! six share one worker loop (see [`crate::random_mix`]).
 //!
 //! # Adding a workload
 //!
@@ -60,13 +68,17 @@
 //! [`Variant::dispatch`]: crate::variant::Variant::dispatch
 //! [`Variant::run`]: crate::variant::Variant::run
 //! [`ConcurrentOrderedSet`]: pragmatic_list::ConcurrentOrderedSet
+//! [`RandomMixConfig`]: crate::config::RandomMixConfig
+//! [`ZipfianMixConfig`]: crate::zipfian::ZipfianMixConfig
+//! [`PhasedConfig`]: crate::phased::PhasedConfig
+//! [`BatchMixConfig`]: crate::batch::BatchMixConfig
+//! [`Sampled`]: crate::latency::Sampled
 
 use pragmatic_list::ConcurrentOrderedSet;
 
-use crate::config::{DeterministicConfig, RandomMixConfig};
-use crate::latency::LatencyHistogram;
+use crate::config::DeterministicConfig;
+use crate::deterministic;
 use crate::result::RunResult;
-use crate::{deterministic, latency, random_mix};
 
 /// A benchmark (or any other computation) generic over the list
 /// implementation, with a typed result.
@@ -127,24 +139,6 @@ impl Workload for DeterministicConfig {
     }
 }
 
-/// The random operation-mix benchmark (§3) *is* its config.
-impl Workload for RandomMixConfig {
-    type Output = RunResult;
-
-    fn run<S: ConcurrentOrderedSet<i64>>(&self) -> RunResult {
-        random_mix::run::<S>(self)
-    }
-}
-
-/// The Zipfian-skewed mix (see [`crate::zipfian`]) *is* its config.
-impl Workload for crate::zipfian::ZipfianMixConfig {
-    type Output = RunResult;
-
-    fn run<S: ConcurrentOrderedSet<i64>>(&self) -> RunResult {
-        crate::zipfian::run::<S>(self)
-    }
-}
-
 /// The batched mix (see [`crate::batch`]) *is* its config.
 impl Workload for crate::batch::BatchMixConfig {
     type Output = RunResult;
@@ -154,77 +148,40 @@ impl Workload for crate::batch::BatchMixConfig {
     }
 }
 
-/// The phased (time-varying) workload (see [`crate::phased`]) *is* its
-/// config; one run reports the per-phase results alongside the
-/// aggregate.
-impl Workload for crate::phased::PhasedConfig {
-    type Output = crate::phased::PhasedResult;
+/// A mixed-op workload: a key stream with an add/remove/contains mix,
+/// run by the one worker loop in [`crate::random_mix`]. Implemented by
+/// [`RandomMixConfig`], [`ZipfianMixConfig`], [`PhasedConfig`] and their
+/// [`Sampled`] twins; each is also a [`Workload`] that runs on a fresh
+/// `S::new()`.
+///
+/// [`RandomMixConfig`]: crate::config::RandomMixConfig
+/// [`ZipfianMixConfig`]: crate::zipfian::ZipfianMixConfig
+/// [`PhasedConfig`]: crate::phased::PhasedConfig
+/// [`Sampled`]: crate::latency::Sampled
+pub trait MixWorkload {
+    /// What one run produces.
+    type Output;
 
-    fn run<S: ConcurrentOrderedSet<i64>>(&self) -> crate::phased::PhasedResult {
-        crate::phased::run::<S>(self)
-    }
+    /// Runs the workload on `list`, which must be empty: the prefill runs
+    /// here. Lets an ablation build the structure itself — e.g. an
+    /// elastic set under a non-default
+    /// [`LoadPolicy`](pragmatic_list::LoadPolicy).
+    fn run_prebuilt<S: ConcurrentOrderedSet<i64>>(&self, list: &S) -> Self::Output;
 }
 
-/// The random mix with every `sample_every`-th operation timed
-/// (see [`crate::latency`]).
-#[derive(Debug, Clone, Copy)]
-pub struct LatencySampled {
-    /// The underlying random-mix parameters.
-    pub cfg: RandomMixConfig,
-    /// Sampling period (1 = time every operation).
-    pub sample_every: u64,
-}
+impl<W: MixWorkload> Workload for W {
+    type Output = W::Output;
 
-impl Workload for LatencySampled {
-    type Output = LatencyHistogram;
-
-    fn run<S: ConcurrentOrderedSet<i64>>(&self) -> LatencyHistogram {
-        latency::run_sampled::<S>(&self.cfg, self.sample_every)
-    }
-}
-
-/// The phased workload with every `sample_every`-th operation timed
-/// (see [`crate::phased::run_sampled`]): per-phase tail latency, the
-/// view that exposes what an elastic seal/migrate/morph costs when the
-/// hotspot lands on it.
-#[derive(Debug, Clone)]
-pub struct PhasedLatencySampled {
-    /// The underlying phased parameters.
-    pub cfg: crate::phased::PhasedConfig,
-    /// Sampling period (1 = time every operation).
-    pub sample_every: u64,
-}
-
-impl Workload for PhasedLatencySampled {
-    type Output = crate::phased::PhasedLatency;
-
-    fn run<S: ConcurrentOrderedSet<i64>>(&self) -> crate::phased::PhasedLatency {
-        crate::phased::run_sampled::<S>(&self.cfg, self.sample_every)
-    }
-}
-
-/// The Zipfian mix with every `sample_every`-th operation timed
-/// (see [`crate::zipfian::run_sampled`]): skewed-traffic tail latency.
-#[derive(Debug, Clone, Copy)]
-pub struct ZipfLatencySampled {
-    /// The underlying Zipfian-mix parameters.
-    pub cfg: crate::zipfian::ZipfianMixConfig,
-    /// Sampling period (1 = time every operation).
-    pub sample_every: u64,
-}
-
-impl Workload for ZipfLatencySampled {
-    type Output = LatencyHistogram;
-
-    fn run<S: ConcurrentOrderedSet<i64>>(&self) -> LatencyHistogram {
-        crate::zipfian::run_sampled::<S>(&self.cfg, self.sample_every)
+    fn run<S: ConcurrentOrderedSet<i64>>(&self) -> W::Output {
+        self.run_prebuilt(&S::new())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{KeyPattern, OpMix};
+    use crate::config::{KeyPattern, OpMix, RandomMixConfig};
+    use crate::latency::Sampled;
     use crate::Variant;
     use pragmatic_list::SetHandle;
 
@@ -286,7 +243,7 @@ mod tests {
         assert_eq!(r.total_ops, mix.total_ops());
         assert_eq!(r.variant, "epoch");
 
-        let lat = LatencySampled {
+        let lat = Sampled {
             cfg: mix,
             sample_every: 10,
         };

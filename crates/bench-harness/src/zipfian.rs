@@ -3,10 +3,12 @@
 //!
 //! Real traffic concentrates on hot keys the way road-network congestion
 //! concentrates on a few bottleneck links; a uniform key draw spreads
-//! load evenly and therefore never exercises that regime. This driver
+//! load evenly and therefore never exercises that regime. This workload
 //! keeps everything else from the random mix (§3: prefill, per-thread
 //! glibc `random_r` streams, the add/rem/con percentages) and replaces
-//! the key distribution with a [`Zipfian`] over ranks `[0, U)`.
+//! the key distribution with a [`Zipfian`] over ranks `[0, U)`. It runs
+//! as a one-phase [`PhasedConfig`](crate::phased::PhasedConfig) at
+//! hotspot 0, whose prefill inserts the hottest ranks first.
 //!
 //! Two placements of the hot ranks matter for the sharded backends:
 //!
@@ -18,19 +20,15 @@
 //!   ranks' probability mass — the standard, accepted approximation), so
 //!   hot keys spread across shards and skew stresses each shard's short
 //!   prefix instead of a single shard.
-
-use std::sync::Barrier;
-use std::time::Instant;
-
-use glibc_rand::{thread_seed, GlibcRandom, Zipfian};
-use pragmatic_list::{ConcurrentOrderedSet, OpStats, SetHandle};
+//!
+//! [`Zipfian`]: glibc_rand::Zipfian
 
 use crate::config::OpMix;
-use crate::result::RunResult;
 
 /// Zipfian-skewed operation-mix benchmark: like
 /// [`RandomMixConfig`](crate::config::RandomMixConfig) but keys are
-/// drawn rank-first from a [`Zipfian`] with skew `theta`.
+/// drawn rank-first from a [`Zipfian`](glibc_rand::Zipfian) with skew
+/// `theta`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ZipfianMixConfig {
     /// Number of worker threads (`p`).
@@ -86,159 +84,15 @@ impl ZipfianMixConfig {
     }
 }
 
-/// Prefills `list` with `cfg.prefill` distinct keys: the hottest ranks
-/// first, so the keys the skewed phase will hammer exist from the start
-/// (with `scramble`, hash collisions are skipped over by continuing down
-/// the rank order).
-fn prefill<S: ConcurrentOrderedSet<i64>>(list: &S, cfg: &ZipfianMixConfig) {
-    assert!(
-        (cfg.prefill as u128) <= cfg.key_range as u128,
-        "cannot prefill {} distinct keys from a range of {}",
-        cfg.prefill,
-        cfg.key_range
-    );
-    let mut h = list.handle();
-    let mut inserted = 0;
-    let mut rank = 0u64;
-    while inserted < cfg.prefill {
-        // Scrambled placement can collide; walking the rank order still
-        // terminates because the map over all U ranks covers ≥ prefill
-        // distinct keys for the identity placement, and for the hashed
-        // placement we fall back to linear probing past the range.
-        let key = if rank < cfg.key_range as u64 {
-            cfg.key_of_rank(rank)
-        } else {
-            (rank - cfg.key_range as u64) as i64
-        };
-        rank += 1;
-        if h.add(key) {
-            inserted += 1;
-        }
-    }
-}
-
-/// Runs the Zipfian-mix benchmark on list variant `S`.
-pub fn run<S: ConcurrentOrderedSet<i64>>(cfg: &ZipfianMixConfig) -> RunResult {
-    assert!(cfg.threads > 0, "at least one thread");
-    assert!(cfg.mix.is_valid(), "operation mix must sum to 100");
-    assert!(cfg.key_range > 0);
-    let list = S::new();
-    prefill(&list, cfg);
-    // One sampler, shared by reference: construction is O(U), sampling
-    // is stateless (all stream state is per-thread).
-    let zipf = Zipfian::new(cfg.key_range as u64, cfg.theta);
-
-    let barrier = Barrier::new(cfg.threads + 1);
-    let (wall, stats) = std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..cfg.threads)
-            .map(|t| {
-                let list = &list;
-                let barrier = &barrier;
-                let zipf = &zipf;
-                let cfg = *cfg;
-                scope.spawn(move || {
-                    let mut h = list.handle();
-                    let mut rng = GlibcRandom::new(thread_seed(cfg.seed, t));
-                    barrier.wait();
-                    let add_bound = cfg.mix.add;
-                    let rem_bound = cfg.mix.add + cfg.mix.remove;
-                    for _ in 0..cfg.ops_per_thread {
-                        let op = rng.below(100);
-                        let key = cfg.key_of_rank(zipf.sample(&mut rng));
-                        if op < add_bound {
-                            h.add(key);
-                        } else if op < rem_bound {
-                            h.remove(key);
-                        } else {
-                            h.contains(key);
-                        }
-                    }
-                    h.take_stats()
-                })
-            })
-            .collect();
-        barrier.wait();
-        let start = Instant::now();
-        let stats: OpStats = workers.into_iter().map(|w| w.join().unwrap()).sum();
-        (start.elapsed(), stats)
-    });
-
-    RunResult {
-        variant: S::NAME.to_string(),
-        wall,
-        total_ops: cfg.total_ops(),
-        stats,
-        threads: cfg.threads,
-    }
-}
-
-/// Zipfian-mix run with every `sample_every`-th operation timed —
-/// the skewed analogue of [`crate::latency::run_sampled`]. Under skew
-/// the hot ranks sit at the front of the traversal order, so the
-/// percentiles separate the hot-key fast path from the cold-key tail
-/// in a way the uniform sampler cannot.
-///
-/// Returns the merged histogram; throughput is *not* reported (probe
-/// overhead perturbs it — use [`run`] for that).
-pub fn run_sampled<S: ConcurrentOrderedSet<i64>>(
-    cfg: &ZipfianMixConfig,
-    sample_every: u64,
-) -> crate::latency::LatencyHistogram {
-    assert!(cfg.threads > 0 && sample_every > 0);
-    assert!(cfg.mix.is_valid(), "operation mix must sum to 100");
-    assert!(cfg.key_range > 0);
-    let list = S::new();
-    prefill(&list, cfg);
-    let zipf = Zipfian::new(cfg.key_range as u64, cfg.theta);
-
-    let barrier = Barrier::new(cfg.threads);
-    std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..cfg.threads)
-            .map(|t| {
-                let list = &list;
-                let barrier = &barrier;
-                let zipf = &zipf;
-                let cfg = *cfg;
-                scope.spawn(move || {
-                    let mut h = list.handle();
-                    let mut rng = GlibcRandom::new(thread_seed(cfg.seed, t));
-                    let mut hist = crate::latency::LatencyHistogram::new();
-                    barrier.wait();
-                    let add_bound = cfg.mix.add;
-                    let rem_bound = cfg.mix.add + cfg.mix.remove;
-                    for i in 0..cfg.ops_per_thread {
-                        let op = rng.below(100);
-                        let key = cfg.key_of_rank(zipf.sample(&mut rng));
-                        let probe = i % sample_every == 0;
-                        let start = probe.then(Instant::now);
-                        if op < add_bound {
-                            h.add(key);
-                        } else if op < rem_bound {
-                            h.remove(key);
-                        } else {
-                            h.contains(key);
-                        }
-                        if let Some(s) = start {
-                            hist.record(s.elapsed().as_nanos() as u64);
-                        }
-                    }
-                    hist
-                })
-            })
-            .collect();
-        let mut total = crate::latency::LatencyHistogram::new();
-        for w in workers {
-            total.merge(&w.join().unwrap());
-        }
-        total
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::latency::Sampled;
+    use crate::{MixWorkload, Workload};
+    use glibc_rand::{GlibcRandom, Zipfian};
     use pragmatic_list::sharded::ShardedSet;
     use pragmatic_list::variants::{SinglyCursorList, SinglyMildList};
+    use pragmatic_list::ConcurrentOrderedSet;
 
     fn cfg(threads: usize, ops: u64, theta: f64) -> ZipfianMixConfig {
         ZipfianMixConfig {
@@ -256,7 +110,7 @@ mod tests {
     #[test]
     fn runs_and_counts_ops() {
         let c = cfg(2, 5_000, 0.9);
-        let r = run::<SinglyMildList<i64>>(&c);
+        let r = c.run::<SinglyMildList<i64>>();
         assert_eq!(r.total_ops, 10_000);
         assert_eq!(r.variant, "singly");
         assert!(r.stats.adds >= 1, "some adds succeed");
@@ -265,8 +119,8 @@ mod tests {
     #[test]
     fn same_seed_single_thread_is_reproducible() {
         let c = cfg(1, 4_000, 0.99);
-        let a = run::<SinglyCursorList<i64>>(&c);
-        let b = run::<SinglyCursorList<i64>>(&c);
+        let a = c.run::<SinglyCursorList<i64>>();
+        let b = c.run::<SinglyCursorList<i64>>();
         assert_eq!(a.stats, b.stats);
     }
 
@@ -291,7 +145,7 @@ mod tests {
             ..cfg(2, 10_000, 0.99)
         };
         type S = ShardedSet<i64, SinglyCursorList<i64>, 8>;
-        let _ = run::<S>(&c); // exercises the driver over a sharded backend
+        let _ = c.run::<S>(); // exercises the driver over a sharded backend
         let zipf = Zipfian::new(c.key_range as u64, c.theta);
         let mut rng = GlibcRandom::new(1);
         let hot = (0..10_000)
@@ -326,7 +180,7 @@ mod tests {
     fn prefill_inserts_the_hot_ranks() {
         let c = cfg(1, 0, 0.99);
         let list = SinglyCursorList::<i64>::new();
-        prefill(&list, &c);
+        c.run_prebuilt(&list); // zero ops: the prefill only
         let mut list = list;
         let keys = list.collect_keys();
         assert_eq!(keys.len(), c.prefill as usize);
@@ -339,7 +193,11 @@ mod tests {
     #[test]
     fn sampled_run_produces_expected_sample_count() {
         let c = cfg(2, 1_000, 0.99);
-        let hist = run_sampled::<SinglyMildList<i64>>(&c, 10);
+        let hist = Sampled {
+            cfg: c,
+            sample_every: 10,
+        }
+        .run::<SinglyMildList<i64>>();
         assert_eq!(hist.count(), 2 * 100, "every 10th of 1000 ops per thread");
         assert!(hist.max_ns() > 0);
     }
@@ -349,6 +207,6 @@ mod tests {
     fn prefill_larger_than_range_panics() {
         let mut c = cfg(1, 10, 0.5);
         c.prefill = 2_000;
-        run::<SinglyMildList<i64>>(&c);
+        c.run::<SinglyMildList<i64>>();
     }
 }

@@ -82,19 +82,19 @@ fn batched() -> BatchMixConfig {
 
 fn sampled_uniform(cfg: RandomMixConfig, sample_every: u64) -> u64 {
     Variant::SinglyCursor
-        .run(&bench_harness::LatencySampled { cfg, sample_every })
+        .run(&bench_harness::Sampled { cfg, sample_every })
         .count()
 }
 
 fn sampled_zipf(cfg: ZipfianMixConfig, sample_every: u64) -> u64 {
     Variant::SinglyCursor
-        .run(&bench_harness::ZipfLatencySampled { cfg, sample_every })
+        .run(&bench_harness::Sampled { cfg, sample_every })
         .count()
 }
 
 /// Per-phase sample counts, then the aggregate.
 fn sampled_phased(cfg: PhasedConfig, sample_every: u64) -> (Vec<u64>, u64) {
-    let lat = Variant::SinglyCursor.run(&bench_harness::PhasedLatencySampled { cfg, sample_every });
+    let lat = Variant::SinglyCursor.run(&bench_harness::Sampled { cfg, sample_every });
     (
         lat.phases.iter().map(|h| h.count()).collect(),
         lat.total.count(),

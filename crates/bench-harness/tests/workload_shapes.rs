@@ -140,7 +140,7 @@ fn latency_sampling_counts() {
         mix: OpMix::UPDATE_HEAVY,
         seed: 77,
     };
-    let h = Variant::DoublyCursor.run(&bench_harness::LatencySampled {
+    let h = Variant::DoublyCursor.run(&bench_harness::Sampled {
         cfg,
         sample_every: 100,
     });

@@ -9,7 +9,7 @@
 //! lengthen.
 
 use bench_harness::config::{OpMix, RandomMixConfig};
-use bench_harness::random_mix;
+use bench_harness::Workload;
 use criterion::{criterion_group, criterion_main, Criterion};
 use pragmatic_list::variants::{DoublyCursorList, DoublyCursorNoRepairList};
 
@@ -26,10 +26,10 @@ fn bench(c: &mut Criterion) {
     g.sample_size(10);
     g.throughput(criterion::Throughput::Elements(cfg.total_ops()));
     g.bench_function("doubly_cursor_repair_on", |b| {
-        b.iter(|| std::hint::black_box(random_mix::run::<DoublyCursorList<i64>>(&cfg)))
+        b.iter(|| std::hint::black_box(cfg.run::<DoublyCursorList<i64>>()))
     });
     g.bench_function("doubly_cursor_repair_off", |b| {
-        b.iter(|| std::hint::black_box(random_mix::run::<DoublyCursorNoRepairList<i64>>(&cfg)))
+        b.iter(|| std::hint::black_box(cfg.run::<DoublyCursorNoRepairList<i64>>()))
     });
     g.finish();
 }

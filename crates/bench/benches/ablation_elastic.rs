@@ -17,8 +17,8 @@
 //!
 //! Set `ABLATION_SMOKE=1` to shrink the workloads for CI smoke runs.
 
-use bench_harness::phased::{run_prebuilt, Phase, PhasedConfig};
-use bench_harness::{OpMix, Workload};
+use bench_harness::phased::{Phase, PhasedConfig};
+use bench_harness::{MixWorkload, OpMix, Workload};
 use criterion::{criterion_group, criterion_main, Criterion};
 use pragmatic_list::elastic::{ElasticSet, LoadPolicy};
 use pragmatic_list::sharded::ShardedSet;
@@ -83,7 +83,7 @@ fn bench(c: &mut Criterion) {
                 split_share_pct: 15,
                 ..LoadPolicy::default()
             });
-            std::hint::black_box(run_prebuilt(&set, &cfg).total)
+            std::hint::black_box(cfg.run_prebuilt(&set).total)
         })
     });
     g.bench_function("elastic_capped16", |b| {
@@ -92,7 +92,7 @@ fn bench(c: &mut Criterion) {
                 max_shards: 16,
                 ..LoadPolicy::default()
             });
-            std::hint::black_box(run_prebuilt(&set, &cfg).total)
+            std::hint::black_box(cfg.run_prebuilt(&set).total)
         })
     });
     g.bench_function("elastic_merge_happy", |b| {
@@ -101,7 +101,7 @@ fn bench(c: &mut Criterion) {
                 merge_share_pct: 6,
                 ..LoadPolicy::default()
             });
-            std::hint::black_box(run_prebuilt(&set, &cfg).total)
+            std::hint::black_box(cfg.run_prebuilt(&set).total)
         })
     });
     g.finish();

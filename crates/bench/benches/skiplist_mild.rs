@@ -6,7 +6,7 @@
 //! (cursor), the skiplist on uniform random access (log n).
 
 use bench_harness::config::{OpMix, RandomMixConfig};
-use bench_harness::random_mix;
+use bench_harness::Workload;
 use criterion::{criterion_group, criterion_main, Criterion};
 use lockfree_skiplist::{DraconicSkipList, SkipListSet};
 use pragmatic_list::variants::DoublyCursorList;
@@ -24,13 +24,13 @@ fn bench(c: &mut Criterion) {
     g.sample_size(10);
     g.throughput(criterion::Throughput::Elements(cfg.total_ops()));
     g.bench_function("skiplist_draconic", |b| {
-        b.iter(|| std::hint::black_box(random_mix::run::<DraconicSkipList<i64>>(&cfg)))
+        b.iter(|| std::hint::black_box(cfg.run::<DraconicSkipList<i64>>()))
     });
     g.bench_function("skiplist_mild", |b| {
-        b.iter(|| std::hint::black_box(random_mix::run::<SkipListSet<i64>>(&cfg)))
+        b.iter(|| std::hint::black_box(cfg.run::<SkipListSet<i64>>()))
     });
     g.bench_function("doubly_cursor_list", |b| {
-        b.iter(|| std::hint::black_box(random_mix::run::<DoublyCursorList<i64>>(&cfg)))
+        b.iter(|| std::hint::black_box(cfg.run::<DoublyCursorList<i64>>()))
     });
     g.finish();
 }

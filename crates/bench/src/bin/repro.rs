@@ -35,9 +35,10 @@
 
 use std::process::ExitCode;
 
+use bench_harness::latency::LatencyHistogram;
 use bench_harness::presets::{Experiment, Scale, WorkloadSpec};
 use bench_harness::report::{self, BenchJsonRow};
-use bench_harness::{scalability, LatencySampled, PhasedLatencySampled, Variant};
+use bench_harness::{scalability, Sampled, Variant, Workload};
 
 struct Options {
     scale: Scale,
@@ -188,9 +189,13 @@ fn main() -> ExitCode {
 /// experiment: the paper reports throughput only, but §1's remark that
 /// the structure is not starvation-free makes the tail the interesting
 /// part. With `--zipf` the key stream is Zipfian (θ=0.99, clustered)
-/// over the unrolled comparison set and the JSON id is `zipf_lat`.
+/// over the unrolled comparison set (flat hinted baseline, skiplist,
+/// and the fat-node variants) — the workload where in-node binary
+/// search should collapse the hot prefix walk — and the JSON id is
+/// `zipf_lat`.
 fn run_latency(rest: &[String]) -> ExitCode {
     use bench_harness::config::{OpMix, RandomMixConfig};
+    use bench_harness::ZipfianMixConfig;
     let mut threads = 4usize;
     let mut ops = 20_000u64;
     let mut zipf = false;
@@ -210,9 +215,6 @@ fn run_latency(rest: &[String]) -> ExitCode {
             }
         }
     }
-    if zipf {
-        return run_latency_zipf(threads, ops);
-    }
     let cfg = RandomMixConfig {
         threads,
         ops_per_thread: ops,
@@ -221,110 +223,94 @@ fn run_latency(rest: &[String]) -> ExitCode {
         mix: OpMix::READ_HEAVY,
         seed: 0x5eed_cafe,
     };
-    println!(
-        "per-operation latency (ns, log2-bucket upper bounds), mix 10/10/80, p={threads}, c={ops}, every 16th op sampled"
-    );
-    println!(
-        "{:<26} {:>10} {:>10} {:>10} {:>10} {:>12}",
-        "Variant", "p50", "p90", "p99", "p99.9", "max"
-    );
-    let workload = LatencySampled {
-        cfg,
-        sample_every: 16,
-    };
-    let mut json_rows = Vec::new();
-    for v in Variant::PAPER.into_iter().chain([Variant::Epoch]) {
-        let h = v.run(&workload);
-        let (p50, p90, p99, p999, max) = h.summary();
-        println!(
-            "{:<26} {:>10} {:>10} {:>10} {:>10} {:>12}",
-            v.paper_label(),
-            p50,
-            p90,
-            p99,
-            p999,
-            max
+    if zipf {
+        let cfg = ZipfianMixConfig {
+            threads,
+            ops_per_thread: ops,
+            prefill: cfg.prefill,
+            key_range: cfg.key_range,
+            mix: cfg.mix,
+            seed: cfg.seed,
+            theta: 0.99,
+            scramble: false,
+        };
+        let workload = Sampled {
+            cfg,
+            sample_every: 16,
+        };
+        let title = "Zipfian θ=0.99 clustered, ";
+        let rows = latency_rows(
+            title,
+            &Variant::UNROLLED,
+            &workload,
+            (threads, ops),
+            Some(cfg.theta),
         );
-        // Latency runs measure percentiles, not throughput: report the
-        // real executed op count and a zero wall so time_ms/ops_per_sec
-        // emit as 0.0 — the "not measured" marker — instead of numbers a
-        // trajectory consumer could mistake for throughput.
-        json_rows.push(BenchJsonRow {
-            p50_ns: Some(p50),
-            p99_ns: Some(p99),
-            ..BenchJsonRow::plain(bench_harness::RunResult {
-                variant: v.name().to_string(),
-                wall: std::time::Duration::ZERO,
-                total_ops: cfg.total_ops(),
-                stats: bench_harness::OpStats::ZERO,
-                threads,
-            })
-        });
+        write_bench_json(&Options::default(), "zipf_lat", &rows);
+    } else {
+        let workload = Sampled {
+            cfg,
+            sample_every: 16,
+        };
+        let variants: Vec<Variant> = Variant::PAPER.into_iter().chain([Variant::Epoch]).collect();
+        let rows = latency_rows("", &variants, &workload, (threads, ops), None);
+        write_bench_json(&Options::default(), "latency", &rows);
     }
-    write_bench_json(&Options::default(), "latency", &json_rows);
     ExitCode::SUCCESS
 }
 
-/// The `--zipf` arm of `repro latency`: skewed tail latency over the
-/// unrolled comparison set (flat hinted baseline, skiplist, and the
-/// fat-node variants), θ=0.99 clustered — the workload where in-node
-/// binary search should collapse the hot prefix walk. Writes
-/// `BENCH_zipf_lat.json` with p50/p99 filled.
-fn run_latency_zipf(threads: usize, ops: u64) -> ExitCode {
-    use bench_harness::config::OpMix;
-    use bench_harness::ZipfianMixConfig;
-    let cfg = ZipfianMixConfig {
-        threads,
-        ops_per_thread: ops,
-        prefill: 1_000,
-        key_range: 10_000,
-        mix: OpMix::READ_HEAVY,
-        seed: 0x5eed_cafe,
-        theta: 0.99,
-        scramble: false,
-    };
+/// Prints one percentile line per variant for a sampled uniform or
+/// Zipfian mix of `threads` × `ops` operations and returns its JSON rows
+/// (at skew `theta`, if given).
+fn latency_rows<C>(
+    title: &str,
+    variants: &[Variant],
+    workload: &Sampled<C>,
+    (threads, ops): (usize, u64),
+    theta: Option<f64>,
+) -> Vec<BenchJsonRow>
+where
+    Sampled<C>: Workload<Output = LatencyHistogram>,
+{
     println!(
-        "per-operation latency (ns, log2-bucket upper bounds), Zipfian θ=0.99 clustered, mix 10/10/80, p={threads}, c={ops}, every 16th op sampled"
+        "per-operation latency (ns, log2-bucket upper bounds), {title}mix 10/10/80, p={threads}, c={ops}, every {}th op sampled",
+        workload.sample_every
     );
     println!(
         "{:<26} {:>10} {:>10} {:>10} {:>10} {:>12}",
         "Variant", "p50", "p90", "p99", "p99.9", "max"
     );
-    let workload = bench_harness::ZipfLatencySampled {
-        cfg,
-        sample_every: 16,
-    };
-    let mut json_rows = Vec::new();
-    for v in Variant::UNROLLED {
-        let h = v.run(&workload);
-        let (p50, p90, p99, p999, max) = h.summary();
-        println!(
-            "{:<26} {:>10} {:>10} {:>10} {:>10} {:>12}",
-            v.paper_label(),
-            p50,
-            p90,
-            p99,
-            p999,
-            max
-        );
-        // Zero wall = "throughput not measured", as in the uniform arm.
-        json_rows.push(BenchJsonRow {
-            p50_ns: Some(p50),
-            p99_ns: Some(p99),
-            ..BenchJsonRow::at_theta(
-                bench_harness::RunResult {
+    variants
+        .iter()
+        .map(|v| {
+            let (p50, p90, p99, p999, max) = v.run(workload).summary();
+            println!(
+                "{:<26} {:>10} {:>10} {:>10} {:>10} {:>12}",
+                v.paper_label(),
+                p50,
+                p90,
+                p99,
+                p999,
+                max
+            );
+            // Latency runs measure percentiles, not throughput: report the
+            // real executed op count and a zero wall so time_ms/ops_per_sec
+            // emit as 0.0 — the "not measured" marker — instead of numbers a
+            // trajectory consumer could mistake for throughput.
+            BenchJsonRow {
+                theta,
+                p50_ns: Some(p50),
+                p99_ns: Some(p99),
+                ..BenchJsonRow::plain(bench_harness::RunResult {
                     variant: v.name().to_string(),
                     wall: std::time::Duration::ZERO,
-                    total_ops: cfg.total_ops(),
+                    total_ops: threads as u64 * ops,
                     stats: bench_harness::OpStats::ZERO,
                     threads,
-                },
-                cfg.theta,
-            )
-        });
-    }
-    write_bench_json(&Options::default(), "zipf_lat", &json_rows);
-    ExitCode::SUCCESS
+                })
+            }
+        })
+        .collect()
 }
 
 fn parse_next<T: std::str::FromStr>(
@@ -615,7 +601,7 @@ fn run_experiment(exp: Experiment, opt: &Options) {
             // per-phase histograms go to BENCH_<id>_lat.json — the view
             // where a phase whose hotspot lands on a sealing/morphing
             // shard shows the stall in its p99.
-            let latency = PhasedLatencySampled {
+            let latency = Sampled {
                 cfg: cfg.clone(),
                 sample_every: 16,
             };

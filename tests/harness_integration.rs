@@ -302,7 +302,7 @@ fn mini_drift_shape_elastic_cuts_list_work_under_a_moving_hotspot() {
     // set re-splits around the hotspot — visibly less traversal work
     // per operation. Work counters are hardware-independent, so assert
     // on them rather than on wall time.
-    use bench_harness::phased::run_prebuilt;
+    use bench_harness::MixWorkload;
     use pragmatic_list::elastic::{ElasticSet, LoadPolicy};
     use pragmatic_list::sharded::ShardedSet;
     use pragmatic_list::variants::SinglyCursorList;
@@ -314,8 +314,8 @@ fn mini_drift_shape_elastic_cuts_list_work_under_a_moving_hotspot() {
         ..LoadPolicy::default()
     });
     let statik = ShardedSet::<i64, SinglyCursorList<i64>, 8>::new();
-    let e = run_prebuilt(&elastic, &cfg);
-    let s = run_prebuilt(&statik, &cfg);
+    let e = cfg.run_prebuilt(&elastic);
+    let s = cfg.run_prebuilt(&statik);
     assert_eq!(e.total.total_ops, s.total.total_ops);
     assert!(elastic.splits() > 0, "drift must trigger migrations");
     let work_e = e.total.stats.total_traversals();
