@@ -445,34 +445,12 @@ impl Variant {
         }
         let s = t.to_ascii_lowercase().replace('-', "_");
         Some(match s.as_str() {
-            "draconic" => Variant::Draconic,
-            "singly" => Variant::Singly,
-            "doubly" => Variant::Doubly,
-            "singly_cursor" => Variant::SinglyCursor,
-            "singly_fetch_or" | "fetch_or" => Variant::SinglyFetchOr,
-            "doubly_cursor" => Variant::DoublyCursor,
-            "cursor_only" => Variant::CursorOnly,
-            "epoch" => Variant::Epoch,
-            "singly_epoch" => Variant::SinglyEpoch,
-            "singly_fetch_or_epoch" | "fetch_or_epoch" => Variant::SinglyFetchOrEpoch,
-            "doubly_cursor_epoch" => Variant::DoublyCursorEpoch,
-            "singly_hp" | "hp" => Variant::SinglyHp,
-            "skiplist_mild" | "skiplist" => Variant::Skiplist,
-            "sharded_singly" => Variant::ShardedSingly,
-            "sharded_singly32" => Variant::ShardedSingly32,
-            "sharded_skiplist" => Variant::ShardedSkiplist,
-            "sharded_skiplist32" => Variant::ShardedSkiplist32,
-            "sharded_singly_epoch" => Variant::ShardedSinglyEpoch,
-            "singly_hint" | "hint" => Variant::SinglyHinted,
-            "doubly_hint" => Variant::DoublyHinted,
-            "elastic_singly" => Variant::Elastic,
-            "elastic_skiplist" => Variant::ElasticSkiplist,
-            "unrolled" => Variant::Unrolled,
-            "unrolled_hint" => Variant::UnrolledHinted,
-            "unrolled_epoch" => Variant::UnrolledEpoch,
-            "elastic_morph" => Variant::ElasticMorph,
-            "elastic_combine" => Variant::ElasticCombine,
-            _ => return None,
+            "fetch_or" => Variant::SinglyFetchOr,
+            "fetch_or_epoch" => Variant::SinglyFetchOrEpoch,
+            "hp" => Variant::SinglyHp,
+            "skiplist" => Variant::Skiplist,
+            "hint" => Variant::SinglyHinted,
+            _ => return Variant::ALL.into_iter().find(|v| v.name() == s),
         })
     }
 

@@ -32,8 +32,8 @@
 #![warn(rust_2018_idioms)]
 
 use std::marker::PhantomData;
-use std::sync::atomic::AtomicI64;
 use std::sync::atomic::Ordering::{AcqRel, Acquire, Relaxed};
+use std::sync::atomic::{AtomicI64, AtomicUsize};
 use std::sync::{Arc, Mutex};
 
 use glibc_rand::GlibcRandom;
@@ -102,6 +102,9 @@ pub struct SkipList<K: Key, const MILD: bool> {
     /// O(n) bottom-level walk — which matters once the elastic morph
     /// sweep polls every shard's size each load window.
     live: Mutex<Vec<Arc<pragmatic_list::CachePadded<AtomicI64>>>>,
+    /// Handles created so far: seeds each handle's tower-height stream,
+    /// so a list's tower shapes depend only on its own handle order.
+    handle_seq: AtomicUsize,
 }
 
 /// The mild-improvement skiplist (recommended).
@@ -228,14 +231,15 @@ impl<K: Key, const MILD: bool> ConcurrentOrderedSet<K> for SkipList<K, MILD> {
             tail,
             registry: Registry::new(),
             live: Mutex::new(Vec::new()),
+            handle_seq: AtomicUsize::new(1),
         }
     }
 
     fn handle(&self) -> SkipListHandle<'_, K, MILD> {
-        // Every handle gets its own tower-height stream; a process-wide
-        // counter keeps streams distinct across threads and lists.
-        static HANDLE_SEQ: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(1);
-        let seq = HANDLE_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        // Every handle gets its own tower-height stream; the per-list
+        // counter keeps streams distinct across threads and, unlike a
+        // process-wide one, independent of what else ran in the process.
+        let seq = self.handle_seq.fetch_add(1, Relaxed);
         // Claim a live-counter slot: an orphaned one (no other owner)
         // when available, a fresh one otherwise — slots outlive their
         // handles so the residual net count keeps contributing.

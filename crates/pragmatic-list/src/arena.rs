@@ -18,14 +18,16 @@
 //! path (the registry mutex — std's, it is only touched at handle drop —
 //! never appears on the operation path).
 //!
-//! The lists consume this module through
+//! The lists of this crate do **not** use this module: they reach the
+//! same drop-time contract through
 //! [`ArenaReclaim`](crate::reclaim::ArenaReclaim), the `STABLE` instance
-//! of the [`Reclaimer`](crate::reclaim::Reclaimer) trait — see
-//! [`crate::reclaim`] for the safety contract (formerly stated here: the
-//! list cannot be dropped while handles borrow it, and nodes are never
-//! freed earlier, so every raw node pointer held by any cursor or `prev`
-//! field stays valid for the lifetime of the list) and for the epoch /
-//! hazard-pointer alternatives the `A2` ablation bench quantifies.
+//! of the [`Reclaimer`](crate::reclaim::Reclaimer) trait, which keeps its
+//! own registry over slab storage ([`crate::slab`]); see
+//! [`crate::reclaim`] for the safety contract and for the epoch /
+//! hazard-pointer alternatives the `A2` ablation bench quantifies. The
+//! only remaining user of [`LocalArena`] and [`Registry`] is the
+//! `lockfree-skiplist` crate, whose variable-height tower nodes are
+//! boxed individually and freed here at list drop.
 
 use crate::sync::Mutex;
 
@@ -77,7 +79,7 @@ impl<T> Registry<T> {
     /// Caller must guarantee exclusive access (no live handles, no
     /// concurrent list operations) and that each registered pointer came
     /// from `Box::into_raw` and is freed exactly once — both are upheld by
-    /// the list `Drop` impls, the only callers.
+    /// the skiplist's `Drop` impl, the only caller.
     pub unsafe fn free_all(&mut self) {
         let mut g = self.retired.lock().unwrap();
         for &p in g.iter() {

@@ -64,7 +64,8 @@
 //! backend (every list variant under any reclaimer, the skiplist) and is
 //! itself one — per-thread lazy shard-handle caches, sorted cross-shard
 //! `range()` scans, aggregated `len_estimate()`; [`ShardedMap`] is the
-//! key→value sibling over [`map::ListMap`] shards.
+//! key→value sibling, a `ShardedSet` of the variant d) entry lists that
+//! [`map::ListMap`] runs.
 //!
 //! Static partitions lose to *drifting* hotspots; [`elastic`] adds
 //! load-aware resharding on top of the same monotone partition. One

@@ -1,11 +1,14 @@
 //! Ordered key→value map over the pragmatic list — the API downstream
 //! users actually want from an ordered concurrent structure.
 //!
-//! [`ListMap`] is the paper's singly-cursor variant d) (mild
+//! [`ListMap`] *is* the paper's singly-cursor variant d) (mild
 //! improvements + per-thread cursor — the paper's recommended
-//! "unintrusive" configuration) with a value payload per node. The
-//! algorithm is identical to `singly.rs`; only the node carries `V` and
-//! the read path returns it.
+//! "unintrusive" configuration): a [`SinglyCursorList`] whose keys are
+//! `MapEntry { key, value }` pairs ordered and compared by `key` alone,
+//! so the value rides in the key's node (as in Michael's list-based sets
+//! and hash tables). Every search, insert, delete and scan is the set's
+//! own code; this module only wraps keys into entries and unwraps the
+//! stored entry that the list hands back.
 //!
 //! ## Value semantics
 //!
@@ -17,22 +20,102 @@
 //! per-node lock or version to make that safe). The supported update
 //! idiom is `remove` + `insert`, which is linearizable per key.
 //!
-//! Reclamation follows the paper's arena scheme (`crate::arena`):
-//! values, like nodes, are dropped when the map is dropped.
+//! Reclamation is the list's: the paper's arena scheme
+//! ([`ArenaReclaim`](crate::reclaim::ArenaReclaim)), so values, like
+//! nodes, are dropped when the map is dropped.
 
-use std::marker::PhantomData;
-use std::sync::atomic::Ordering::{AcqRel, Acquire, Relaxed};
+use std::cmp::Ordering;
+use std::ops::{Bound, RangeBounds};
 
-use crate::arena::{LocalArena, Registry};
-use crate::marked::{MarkedAtomic, MarkedPtr};
-use crate::ordered::{ScanBounds, Snapshot};
+use crate::ordered::{OrderedHandle, Snapshot};
+use crate::set::{ConcurrentOrderedSet, SetHandle};
+use crate::sharded::ShardKey;
+use crate::singly::SinglyHandle;
 use crate::stats::OpStats;
+use crate::variants::SinglyCursorList;
 use crate::Key;
 
-struct MapNode<K, V> {
-    next: MarkedAtomic<MapNode<K, V>>,
-    key: K,
-    value: V,
+/// A map entry as the list stores it: ordered, compared and routed by
+/// `key` alone. Stored entries carry `Some(value)`; the sentinels and
+/// lookup probes carry `None`.
+#[derive(Clone, Copy)]
+pub(crate) struct MapEntry<K, V> {
+    pub(crate) key: K,
+    pub(crate) value: Option<V>,
+}
+
+impl<K: Key, V> MapEntry<K, V> {
+    /// The entry stored for `key → value`.
+    pub(crate) fn new(key: K, value: V) -> Self {
+        MapEntry {
+            key,
+            value: Some(value),
+        }
+    }
+
+    /// The value-less entry a lookup searches for.
+    pub(crate) const fn probe(key: K) -> Self {
+        MapEntry { key, value: None }
+    }
+
+    /// The entry-typed scan window over the keys inside `range`.
+    pub(crate) fn probe_range(range: &impl RangeBounds<K>) -> (Bound<Self>, Bound<Self>) {
+        (
+            range.start_bound().map(|&k| Self::probe(k)),
+            range.end_bound().map(|&k| Self::probe(k)),
+        )
+    }
+
+    /// A stored entry as the `(key, value)` pair the map API returns.
+    pub(crate) fn pair(self) -> (K, V) {
+        let value = self.value.expect("stored map entries carry a value");
+        (self.key, value)
+    }
+}
+
+impl<K: Key, V> PartialEq for MapEntry<K, V> {
+    fn eq(&self, other: &Self) -> bool {
+        self.key == other.key
+    }
+}
+
+impl<K: Key, V> Eq for MapEntry<K, V> {}
+
+impl<K: Key, V> PartialOrd for MapEntry<K, V> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<K: Key, V> Ord for MapEntry<K, V> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.key.cmp(&other.key)
+    }
+}
+
+impl<K: Key, V> std::fmt::Debug for MapEntry<K, V> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_tuple("MapEntry").field(&self.key).finish()
+    }
+}
+
+impl<K: Key, V: Copy + Send + Sync + 'static> Key for MapEntry<K, V> {
+    const NEG_INF: Self = Self::probe(K::NEG_INF);
+    const POS_INF: Self = Self::probe(K::POS_INF);
+}
+
+impl<K: ShardKey, V: Copy + Send + Sync + 'static> ShardKey for MapEntry<K, V> {
+    const RANK_INJECTIVE: bool = K::RANK_INJECTIVE;
+
+    #[inline]
+    fn rank64(self) -> u64 {
+        self.key.rank64()
+    }
+}
+
+/// The scan results of an entry list as `(key, value)` pairs.
+pub(crate) fn pairs<K: Key, V>(entries: Snapshot<MapEntry<K, V>>) -> Snapshot<(K, V)> {
+    Snapshot::from_vec(entries.into_iter().map(MapEntry::pair).collect())
 }
 
 /// Lock-free ordered map (paper variant d) semantics with a value
@@ -58,16 +141,8 @@ struct MapNode<K, V> {
 /// assert_eq!(map.collect(), vec![(1, 100), (2, 200), (3, 300), (4, 400)]);
 /// ```
 pub struct ListMap<K: Key, V: Copy + Send + Sync + 'static> {
-    head: *mut MapNode<K, V>,
-    tail: *mut MapNode<K, V>,
-    registry: Registry<MapNode<K, V>>,
+    pub(crate) list: SinglyCursorList<MapEntry<K, V>>,
 }
-
-// SAFETY: same argument as `SinglyList` — atomics for shared state,
-// arena-stable nodes, `Drop` requires exclusivity; `V: Copy + Send + Sync`
-// and is immutable after publication.
-unsafe impl<K: Key, V: Copy + Send + Sync + 'static> Send for ListMap<K, V> {}
-unsafe impl<K: Key, V: Copy + Send + Sync + 'static> Sync for ListMap<K, V> {}
 
 impl<K: Key, V: Copy + Send + Sync + 'static> Default for ListMap<K, V> {
     fn default() -> Self {
@@ -75,274 +150,53 @@ impl<K: Key, V: Copy + Send + Sync + 'static> Default for ListMap<K, V> {
     }
 }
 
-impl<K: Key, V: Copy + Send + Sync + 'static> Drop for ListMap<K, V> {
-    fn drop(&mut self) {
-        // SAFETY: exclusive access; every non-sentinel node registered once.
-        unsafe {
-            self.registry.free_all();
-            drop(Box::from_raw(self.head));
-            drop(Box::from_raw(self.tail));
-        }
-    }
-}
-
 impl<K: Key, V: Copy + Send + Sync + 'static> ListMap<K, V> {
     /// Creates an empty map.
     pub fn new() -> Self {
-        use std::mem::MaybeUninit;
-        use std::ptr::addr_of_mut;
-        // The sentinels have no value to store: their `value` field stays
-        // uninitialised and is never read (`get`/`collect` exclude the
-        // sentinel keys), and `V: Copy` guarantees `MapNode` has no drop
-        // glue, so dropping a sentinel in `Drop` never touches it.
-        // SAFETY: only the `next` and `key` fields are ever accessed on
-        // sentinels, and they are initialised here before publication.
-        let tail: *mut MapNode<K, V> = unsafe {
-            let mut n = Box::new(MaybeUninit::<MapNode<K, V>>::uninit());
-            let p = n.as_mut_ptr();
-            addr_of_mut!((*p).next).write(MarkedAtomic::null());
-            addr_of_mut!((*p).key).write(K::POS_INF);
-            Box::into_raw(n) as *mut MapNode<K, V>
-        };
-        // SAFETY: same argument as `tail` above — `next` and `key` are
-        // initialised before publication; `value` is never read.
-        let head: *mut MapNode<K, V> = unsafe {
-            let mut n = Box::new(MaybeUninit::<MapNode<K, V>>::uninit());
-            let p = n.as_mut_ptr();
-            addr_of_mut!((*p).next).write(MarkedAtomic::new(tail));
-            addr_of_mut!((*p).key).write(K::NEG_INF);
-            Box::into_raw(n) as *mut MapNode<K, V>
-        };
-        Self {
-            head,
-            tail,
-            registry: Registry::new(),
+        ListMap {
+            list: SinglyCursorList::new(),
         }
     }
 
     /// Per-thread handle.
     pub fn handle(&self) -> MapHandle<'_, K, V> {
         MapHandle {
-            map: self,
-            cursor: self.head,
-            arena: LocalArena::new(),
-            stats: OpStats::ZERO,
-            _not_sync: PhantomData,
+            entries: self.list.handle(),
         }
     }
 
     /// Quiescent snapshot of `(key, value)` pairs in key order.
     pub fn collect(&mut self) -> Vec<(K, V)> {
-        let mut out = Vec::new();
-        // SAFETY: exclusive access; non-sentinel values are initialised.
-        unsafe {
-            let mut curr = (*self.head).next.load(Acquire).ptr();
-            while curr != self.tail {
-                if !(*curr).next.load(Acquire).is_marked() {
-                    out.push(((*curr).key, (*curr).value));
-                }
-                curr = (*curr).next.load(Acquire).ptr();
-            }
-        }
-        out
+        self.list.to_vec().into_iter().map(MapEntry::pair).collect()
     }
 
     /// Number of live entries (racy; exact when quiescent).
     pub fn len_approx(&self) -> usize {
-        let mut n = 0;
-        // SAFETY: arena-stable nodes.
-        unsafe {
-            let mut curr = (*self.head).next.load(Acquire).ptr();
-            while curr != self.tail {
-                if !(*curr).next.load(Acquire).is_marked() {
-                    n += 1;
-                }
-                curr = (*curr).next.load(Acquire).ptr();
-            }
-        }
-        n
+        self.list.len_approx()
     }
 }
 
-/// Per-thread handle over a [`ListMap`] (cursor + counters + arena log).
+/// Per-thread handle over a [`ListMap`]: the list's handle (cursor,
+/// counters, allocation log).
 pub struct MapHandle<'m, K: Key, V: Copy + Send + Sync + 'static> {
-    map: &'m ListMap<K, V>,
-    cursor: *mut MapNode<K, V>,
-    arena: LocalArena<MapNode<K, V>>,
-    stats: OpStats,
-    _not_sync: PhantomData<std::cell::Cell<()>>,
-}
-
-impl<'m, K: Key, V: Copy + Send + Sync + 'static> Drop for MapHandle<'m, K, V> {
-    fn drop(&mut self) {
-        self.arena.flush_into(&self.map.registry);
-    }
+    pub(crate) entries: SinglyHandle<'m, MapEntry<K, V>, true, true, false>,
 }
 
 impl<'m, K: Key, V: Copy + Send + Sync + 'static> MapHandle<'m, K, V> {
-    /// Search (Listing 1, mild + cursor), as in `singly.rs`.
-    fn search(&mut self, key: K) -> (*mut MapNode<K, V>, *mut MapNode<K, V>) {
-        let head = self.map.head;
-        // SAFETY: arena-stable nodes; atomics throughout.
-        unsafe {
-            'retry: loop {
-                let mut pred = {
-                    let c = self.cursor;
-                    if (*c).next.load(Acquire).is_marked() || key <= (*c).key {
-                        head
-                    } else {
-                        c
-                    }
-                };
-                let mut curr = (*pred).next.load(Acquire).ptr();
-                loop {
-                    let mut succ = (*curr).next.load(Acquire);
-                    while succ.is_marked() {
-                        let mut succ_ptr = succ.ptr();
-                        match (*pred).next.compare_exchange(
-                            MarkedPtr::unmarked(curr),
-                            MarkedPtr::unmarked(succ_ptr),
-                            AcqRel,
-                            Acquire,
-                        ) {
-                            Ok(()) => {}
-                            Err(observed) => {
-                                self.stats.fail += 1;
-                                if observed.is_marked() {
-                                    self.stats.rtry += 1;
-                                    continue 'retry;
-                                }
-                                succ_ptr = observed.ptr();
-                            }
-                        }
-                        curr = succ_ptr;
-                        self.stats.trav += 1;
-                        succ = (*curr).next.load(Acquire);
-                    }
-                    if key <= (*curr).key {
-                        self.cursor = pred;
-                        return (pred, curr);
-                    }
-                    pred = curr;
-                    curr = (*curr).next.load(Acquire).ptr();
-                    self.stats.trav += 1;
-                }
-            }
-        }
-    }
-
     /// Inserts `key → value`; `true` iff the key was absent. Existing
     /// entries are *not* overwritten (use `remove` + `insert`).
     pub fn insert(&mut self, key: K, value: V) -> bool {
-        debug_assert!(key.is_valid_key(), "sentinel keys are reserved");
-        let mut node: *mut MapNode<K, V> = std::ptr::null_mut();
-        loop {
-            let (pred, curr) = self.search(key);
-            // SAFETY: arena-stable nodes.
-            unsafe {
-                if (*curr).key == key {
-                    return false;
-                }
-                if node.is_null() {
-                    node = Box::into_raw(Box::new(MapNode {
-                        next: MarkedAtomic::new(curr),
-                        key,
-                        value,
-                    }));
-                    self.arena.record(node);
-                } else {
-                    (*node).next.store(MarkedPtr::unmarked(curr), Relaxed);
-                }
-                match (*pred).next.compare_exchange(
-                    MarkedPtr::unmarked(curr),
-                    MarkedPtr::unmarked(node),
-                    AcqRel,
-                    Acquire,
-                ) {
-                    Ok(()) => {
-                        self.stats.adds += 1;
-                        return true;
-                    }
-                    Err(_) => self.stats.fail += 1,
-                }
-            }
-        }
+        self.entries.add(MapEntry::new(key, value))
     }
 
     /// Removes `key`; returns its value iff this thread won the delete.
     pub fn remove(&mut self, key: K) -> Option<V> {
-        debug_assert!(key.is_valid_key(), "sentinel keys are reserved");
-        let (pred, node) = self.search(key);
-        // SAFETY: arena-stable nodes.
-        unsafe {
-            if (*node).key != key {
-                return None;
-            }
-            // Mild rem(): retry the marking CAS in place until the node
-            // is marked — by us (success) or someone else (failed
-            // delete). No re-search needed.
-            let mut succ = (*node).next.load(Acquire);
-            let succ_ptr = loop {
-                if succ.is_marked() {
-                    return None;
-                }
-                match (*node)
-                    .next
-                    .compare_exchange(succ, succ.with_mark(), AcqRel, Acquire)
-                {
-                    Ok(()) => break succ.ptr(),
-                    Err(observed) => {
-                        self.stats.fail += 1;
-                        succ = observed;
-                    }
-                }
-            };
-            let value = (*node).value;
-            if (*pred)
-                .next
-                .compare_exchange(
-                    MarkedPtr::unmarked(node),
-                    MarkedPtr::unmarked(succ_ptr),
-                    AcqRel,
-                    Acquire,
-                )
-                .is_err()
-            {
-                self.stats.fail += 1;
-            }
-            self.stats.rems += 1;
-            Some(value)
-        }
+        self.entries.remove_impl(MapEntry::probe(key))?.value
     }
 
     /// Wait-free lookup with the cursor fast path.
     pub fn get(&mut self, key: K) -> Option<V> {
-        debug_assert!(key.is_valid_key(), "sentinel keys are reserved");
-        let head = self.map.head;
-        // SAFETY: arena-stable nodes; values immutable after publish.
-        unsafe {
-            let start = {
-                let c = self.cursor;
-                if (*c).next.load(Acquire).is_marked() || key < (*c).key {
-                    head
-                } else {
-                    c
-                }
-            };
-            let mut pred = start;
-            let mut curr = start;
-            while (*curr).key < key {
-                pred = curr;
-                curr = (*curr).next.load(Acquire).ptr();
-                self.stats.cons += 1;
-            }
-            self.cursor = pred;
-            if (*curr).key == key && !(*curr).next.load(Acquire).is_marked() {
-                Some((*curr).value)
-            } else {
-                None
-            }
-        }
+        self.entries.find_impl(MapEntry::probe(key))?.value
     }
 
     /// `true` iff `key` is present.
@@ -352,30 +206,13 @@ impl<'m, K: Key, V: Copy + Send + Sync + 'static> MapHandle<'m, K, V> {
 
     /// Scans the live `(key, value)` pairs with keys inside `range`, in
     /// ascending key order — the map counterpart of
-    /// [`OrderedHandle::range`](crate::OrderedHandle::range).
+    /// [`OrderedHandle::range`].
     ///
     /// Weakly consistent under concurrency, exactly like the set scans
     /// (see [`crate::ordered`]); exact when no writer runs during the
-    /// scan. Values are safe to read unsynchronised: a node's value is
-    /// written once before the publishing CAS and never mutated.
-    pub fn range<R: std::ops::RangeBounds<K>>(&mut self, range: R) -> Snapshot<(K, V)> {
-        let bounds = ScanBounds::from_range(&range);
-        let mut out = Vec::new();
-        // SAFETY: arena-stable nodes; non-sentinel values are initialised
-        // before publication; keys strictly increase along `next`.
-        unsafe {
-            crate::ordered::scan_chain(
-                &bounds,
-                (*self.map.head).next.load(Acquire).ptr(),
-                self.map.tail,
-                |p| {
-                    let succ = (*p).next.load(Acquire);
-                    ((*p).key, !succ.is_marked(), succ.ptr())
-                },
-                |p, key| out.push((key, (*p).value)),
-            );
-        }
-        Snapshot::from_vec(out)
+    /// scan.
+    pub fn range<R: RangeBounds<K>>(&mut self, range: R) -> Snapshot<(K, V)> {
+        pairs(self.entries.range(MapEntry::probe_range(&range)))
     }
 
     /// Scans all live `(key, value)` pairs in ascending key order
@@ -387,12 +224,12 @@ impl<'m, K: Key, V: Copy + Send + Sync + 'static> MapHandle<'m, K, V> {
 
     /// Estimated number of live entries (racy; exact when quiescent).
     pub fn len_estimate(&self) -> usize {
-        self.map.len_approx()
+        self.entries.list.len_approx()
     }
 
     /// Accumulated counters.
     pub fn stats(&self) -> OpStats {
-        self.stats
+        self.entries.stats()
     }
 }
 
@@ -535,5 +372,47 @@ mod tests {
         drop(h);
         let mut map = map;
         assert_eq!(map.collect(), oracle.into_iter().collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn map_entries_compare_by_key_alone() {
+        let a = MapEntry::new(3i64, 1u8);
+        let b = MapEntry::new(3i64, 2u8);
+        assert_eq!(a, b, "values are ignored by Eq");
+        assert_eq!(a, MapEntry::probe(3), "a probe finds the stored entry");
+        assert_eq!(a.cmp(&b), Ordering::Equal, "values are ignored by Ord");
+        assert!(MapEntry::<i64, u8>::probe(2) < a && a < MapEntry::probe(4));
+        for key in [i64::MIN + 1, -1, 0, 1, i64::MAX - 1] {
+            let e = MapEntry::new(key, 0u8);
+            assert!(MapEntry::NEG_INF < e && e < MapEntry::POS_INF);
+            assert!(e.is_valid_key());
+        }
+        assert!(!MapEntry::<i64, u8>::NEG_INF.is_valid_key());
+        assert!(!MapEntry::<i64, u8>::POS_INF.is_valid_key());
+    }
+
+    #[test]
+    fn map_ops_run_the_set_code() {
+        // One seeded tape, applied to a map and to the variant-d set it
+        // wraps: every result and every counter must agree, because the
+        // map runs the set's search, insert and delete paths unchanged.
+        let map = ListMap::<i64, i64>::new();
+        let set = SinglyCursorList::<i64>::new();
+        let mut hm = map.handle();
+        let mut hs = set.handle();
+        let mut x = 97531u64;
+        for _ in 0..5000 {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let k = ((x >> 33) % 256) as i64 + 1;
+            match (x >> 11) % 3 {
+                0 => assert_eq!(hm.insert(k, -k), hs.add(k), "insert {k}"),
+                1 => assert_eq!(hm.remove(k).is_some(), hs.remove(k), "remove {k}"),
+                _ => assert_eq!(hm.get(k).is_some(), hs.contains(k), "get {k}"),
+            }
+        }
+        assert_eq!(hm.stats(), hs.stats());
+        assert!(hm.iter().iter().all(|&(k, v)| v == -k));
     }
 }

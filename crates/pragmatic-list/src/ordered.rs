@@ -238,8 +238,8 @@ impl<K: Key> RangeBounds<K> for ScanBounds<K> {
 
 /// Drives an ascending scan over a sorted node chain, applying the
 /// weak-consistency contract in one place for every chain-shaped
-/// backend (singly, doubly, `ListMap`, skiplist bottom level; the
-/// epoch list walks its own guard-protected chain).
+/// backend (singly, and so `ListMap`; doubly; skiplist bottom level;
+/// the epoch list walks its own guard-protected chain).
 ///
 /// Starting at `curr`, `read` resolves a node into `(key, live, next)`;
 /// live nodes inside `bounds` are passed to `emit`. The walk stops at

@@ -230,6 +230,7 @@ fn epoch_recycling_survives_tight_reuse_churn() {
     let _serial = leak::LEAK_TEST_LOCK
         .lock()
         .unwrap_or_else(|e| e.into_inner());
+    let (a0, f0) = leak::snapshot();
     let list = SinglyList::<LeakKey, true, true, false, EpochReclaim>::new();
     {
         let mut h = list.handle();
@@ -239,9 +240,19 @@ fn epoch_recycling_survives_tight_reuse_churn() {
         }
     }
     drop(list);
-    for _ in 0..100 {
+    // Drain this test's deferred frees before releasing the lock: left
+    // pending, any thread's later flush would run them inside the next
+    // leak test's accounting window.
+    for _ in 0..10_000 {
+        let (a, f) = leak::snapshot();
+        if a - a0 == f - f0 {
+            break;
+        }
         crossbeam_epoch::pin().flush();
+        std::thread::yield_now();
     }
+    let (a1, f1) = leak::snapshot();
+    assert_eq!(a1 - a0, f1 - f0, "recycled epoch slots must all be freed");
 }
 
 #[test]

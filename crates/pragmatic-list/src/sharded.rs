@@ -72,11 +72,12 @@
 use std::marker::PhantomData;
 use std::ops::RangeBounds;
 
-use crate::map::{ListMap, MapHandle};
+use crate::map::{pairs, MapEntry};
 use crate::ordered::{OrderedHandle, ScanBounds, Snapshot};
 use crate::reclaim::str_eq;
 use crate::set::{ConcurrentOrderedSet, InvariantViolation, SetHandle};
 use crate::stats::OpStats;
+use crate::variants::SinglyCursorList;
 use crate::Key;
 
 /// A [`Key`] that can be range-partitioned: a monotone map onto `u64`.
@@ -446,15 +447,13 @@ where
     }
 }
 
-/// An ordered key→value map range-partitioned across `N`
-/// [`ListMap`] shards.
+/// An ordered key→value map range-partitioned across `N` shards.
 ///
-/// The value-carrying counterpart of [`ShardedSet`]: same router, same
-/// lazy per-thread handle cache, same monotone-concatenation scans, with
-/// [`ListMap`]'s API (`insert`/`get`/`remove` returning the value,
-/// `(K, V)` scans). The backend is fixed to `ListMap` because the
-/// workspace's map surface lives there; the set side is where backends
-/// are pluggable.
+/// The value-carrying counterpart of [`ShardedSet`], and literally one:
+/// a `ShardedSet` of variant d) lists over key-ordered map entries, so
+/// it shares the set's router, lazy per-thread handle cache and
+/// monotone-concatenation scans, with the map API (`insert`/`get`/
+/// `remove` returning the value, `(K, V)` scans).
 ///
 /// # Examples
 ///
@@ -473,7 +472,7 @@ where
 /// assert_eq!(h.len_estimate(), 3);
 /// ```
 pub struct ShardedMap<K: ShardKey, V: Copy + Send + Sync + 'static, const N: usize> {
-    shards: [ListMap<K, V>; N],
+    set: ShardedSet<MapEntry<K, V>, SinglyCursorList<MapEntry<K, V>>, N>,
 }
 
 impl<K: ShardKey, V: Copy + Send + Sync + 'static, const N: usize> Default for ShardedMap<K, V, N> {
@@ -485,9 +484,8 @@ impl<K: ShardKey, V: Copy + Send + Sync + 'static, const N: usize> Default for S
 impl<K: ShardKey, V: Copy + Send + Sync + 'static, const N: usize> ShardedMap<K, V, N> {
     /// Creates an empty map of `N` empty shards.
     pub fn new() -> Self {
-        assert!(N > 0, "a ShardedMap needs at least one shard");
         ShardedMap {
-            shards: std::array::from_fn(|_| ListMap::new()),
+            set: ShardedSet::new(),
         }
     }
 
@@ -496,53 +494,49 @@ impl<K: ShardKey, V: Copy + Send + Sync + 'static, const N: usize> ShardedMap<K,
         N
     }
 
-    /// Per-thread handle (lazy per-shard [`MapHandle`] cache).
+    /// Per-thread handle (lazy per-shard handle cache).
     pub fn handle(&self) -> ShardedMapHandle<'_, K, V, N> {
         ShardedMapHandle {
-            map: self,
-            handles: std::array::from_fn(|_| None),
+            inner: self.set.handle(),
         }
     }
 
     /// Quiescent snapshot of all `(key, value)` pairs in key order.
     pub fn collect(&mut self) -> Vec<(K, V)> {
-        self.shards.iter_mut().flat_map(|s| s.collect()).collect()
+        let entries = self.set.collect_keys();
+        entries.into_iter().map(MapEntry::pair).collect()
     }
 
     /// Number of live entries (racy; exact when quiescent).
     pub fn len_approx(&self) -> usize {
-        self.shards.iter().map(|s| s.len_approx()).sum()
+        self.set.shards.iter().map(|s| s.len_approx()).sum()
     }
 }
 
 /// Per-thread handle over a [`ShardedMap`].
 pub struct ShardedMapHandle<'m, K: ShardKey, V: Copy + Send + Sync + 'static, const N: usize> {
-    map: &'m ShardedMap<K, V, N>,
-    handles: [Option<MapHandle<'m, K, V>>; N],
+    inner: ShardedSetHandle<'m, MapEntry<K, V>, SinglyCursorList<MapEntry<K, V>>, N>,
 }
 
 impl<'m, K: ShardKey, V: Copy + Send + Sync + 'static, const N: usize>
     ShardedMapHandle<'m, K, V, N>
 {
-    fn shard(&mut self, i: usize) -> &mut MapHandle<'m, K, V> {
-        let map = self.map;
-        self.handles[i].get_or_insert_with(|| map.shards[i].handle())
-    }
-
     /// Inserts `key → value`; `true` iff the key was absent (no
-    /// overwrite — [`ListMap`]'s contract).
+    /// overwrite — [`ListMap`](crate::map::ListMap)'s contract).
     pub fn insert(&mut self, key: K, value: V) -> bool {
-        self.shard(shard_of(key, N)).insert(key, value)
+        self.inner.add(MapEntry::new(key, value))
     }
 
     /// Removes `key`; returns its value iff this thread won the delete.
     pub fn remove(&mut self, key: K) -> Option<V> {
-        self.shard(shard_of(key, N)).remove(key)
+        let probe = MapEntry::probe(key);
+        self.inner.shard(shard_of(key, N)).remove_impl(probe)?.value
     }
 
     /// Wait-free lookup.
     pub fn get(&mut self, key: K) -> Option<V> {
-        self.shard(shard_of(key, N)).get(key)
+        let probe = MapEntry::probe(key);
+        self.inner.shard(shard_of(key, N)).find_impl(probe)?.value
     }
 
     /// `true` iff `key` is present.
@@ -554,8 +548,7 @@ impl<'m, K: ShardKey, V: Copy + Send + Sync + 'static, const N: usize>
     /// the per-shard snapshots in ascending key order (weakly consistent,
     /// as [`crate::ordered`]).
     pub fn range<R: RangeBounds<K>>(&mut self, range: R) -> Snapshot<(K, V)> {
-        let bounds = ScanBounds::from_range(&range);
-        scan_shards(&bounds, N, |i| self.shard(i).range(bounds))
+        pairs(self.inner.range(MapEntry::probe_range(&range)))
     }
 
     /// Scans all live `(key, value)` pairs in ascending key order.
@@ -565,19 +558,21 @@ impl<'m, K: ShardKey, V: Copy + Send + Sync + 'static, const N: usize>
 
     /// Estimated number of live entries across all shards.
     pub fn len_estimate(&self) -> usize {
-        self.map.len_approx()
+        let shards = &self.inner.set.shards;
+        shards.iter().map(|s| s.len_approx()).sum()
     }
 
     /// Aggregated counters across the cached shard handles.
     pub fn stats(&self) -> OpStats {
-        self.handles.iter().flatten().map(|h| h.stats()).sum()
+        self.inner.stats()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::variants::{DoublyCursorList, SinglyCursorEpochList, SinglyCursorList};
+    use crate::map::ListMap;
+    use crate::variants::{DoublyCursorList, SinglyCursorEpochList};
 
     #[test]
     fn rank64_is_monotone_and_spreads() {

@@ -426,7 +426,7 @@ pub struct SinglyHandle<
     R: Reclaimer = ArenaReclaim,
     const HINTS: usize = 0,
 > {
-    list: &'l SinglyList<K, MILD, CURSOR, FETCH_OR, R, HINTS>,
+    pub(crate) list: &'l SinglyList<K, MILD, CURSOR, FETCH_OR, R, HINTS>,
     /// Last recorded `pred` position; persists across operations only
     /// for `CURSOR` variants under a `STABLE` reclaimer (reset to head
     /// at every public-operation entry otherwise), but always carries
@@ -728,7 +728,10 @@ impl<
         }
     }
 
-    fn remove_impl(&mut self, key: K) -> bool {
+    /// `rem()`: returns the stored key (the node's full `K`, which for
+    /// [`ListMap`](crate::map::ListMap) entries carries the value) iff
+    /// this handle won the logical delete.
+    pub(crate) fn remove_impl(&mut self, key: K) -> Option<K> {
         debug_assert!(key.is_valid_key(), "sentinel keys are reserved");
         let _pin = R::pin();
         self.begin_op();
@@ -737,13 +740,14 @@ impl<
 
     /// `rem()` body minus the per-operation pin and cursor policy (see
     /// [`add_pinned`](Self::add_pinned)).
-    fn remove_pinned(&mut self, key: K) -> bool {
+    fn remove_pinned(&mut self, key: K) -> Option<K> {
         loop {
             let (pred, node) = self.search(key);
             // SAFETY: `pred`/`node` per the search contract.
             unsafe {
-                if (*node).key != key {
-                    return false;
+                let stored = (*node).key;
+                if stored != key {
+                    return None;
                 }
                 // Logical delete: set the mark on `node.next`.
                 let succ_ptr = if FETCH_OR {
@@ -752,7 +756,7 @@ impl<
                     // and the delete linearizes as unsuccessful.
                     let prev = (*node).next.fetch_or_mark(AcqRel);
                     if prev.is_marked() {
-                        return false;
+                        return None;
                     }
                     prev.ptr()
                 } else if MILD {
@@ -762,7 +766,7 @@ impl<
                     let mut succ = (*node).next.load(Acquire);
                     loop {
                         if succ.is_marked() {
-                            return false;
+                            return None;
                         }
                         match (*node)
                             .next
@@ -809,12 +813,14 @@ impl<
                 }
                 self.stats.rems += 1;
                 live_bump(&self.live, -1);
-                return true;
+                return Some(stored);
             }
         }
     }
 
-    fn contains_impl(&mut self, key: K) -> bool {
+    /// `con()`: returns the stored key (see
+    /// [`remove_impl`](Self::remove_impl)) iff `key` is present.
+    pub(crate) fn find_impl(&mut self, key: K) -> Option<K> {
         debug_assert!(key.is_valid_key(), "sentinel keys are reserved");
         let _pin = R::pin();
         self.begin_op();
@@ -831,7 +837,8 @@ impl<
             self.stats.trav -= steps;
             self.stats.cons += steps;
             // SAFETY: `curr` is protected and was observed unmarked.
-            return unsafe { (*curr).key == key };
+            let stored = unsafe { (*curr).key };
+            return (stored == key).then_some(stored);
         }
         let head = self.list.head;
         // SAFETY: stable or pinned nodes; wait-free read-only traversal.
@@ -878,7 +885,8 @@ impl<
             if HINTS > 0 && R::STABLE && walked >= crate::hint::HINT_RECORD_MIN_TRAVERSAL {
                 self.hints.record((*pred).key, pred);
             }
-            (*curr).key == key && !(*curr).next.load(Acquire).is_marked()
+            let stored = (*curr).key;
+            (stored == key && !(*curr).next.load(Acquire).is_marked()).then_some(stored)
         }
     }
 }
@@ -900,12 +908,12 @@ impl<
 
     #[inline]
     fn remove(&mut self, key: K) -> bool {
-        self.remove_impl(key)
+        self.remove_impl(key).is_some()
     }
 
     #[inline]
     fn contains(&mut self, key: K) -> bool {
-        self.contains_impl(key)
+        self.find_impl(key).is_some()
     }
 
     fn add_batch(&mut self, keys: &mut [K]) -> usize {
@@ -933,7 +941,7 @@ impl<
         let mut n = 0;
         for &k in keys.iter() {
             debug_assert!(k.is_valid_key(), "sentinel keys are reserved");
-            if self.remove_pinned(k) {
+            if self.remove_pinned(k).is_some() {
                 n += 1;
             }
         }
