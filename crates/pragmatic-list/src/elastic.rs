@@ -2942,6 +2942,53 @@ mod tests {
         map.check_invariants().unwrap();
     }
 
+    #[test]
+    fn elastic_map_runs_the_set_code() {
+        // One seeded tape with the same forced splits and merges, applied
+        // to the elastic map and to the elastic set of variant-d lists:
+        // every result and every counter must agree, because the map is
+        // that set with the value riding in the key's node.
+        let policy = LoadPolicy {
+            initial_shards: 2,
+            min_split_keys: 4,
+            ..LoadPolicy::default()
+        };
+        let map = ElasticMap::<i64, i64>::with_policy(policy);
+        let set = Set::with_policy(policy);
+        let mut hm = map.handle();
+        let mut hs = set.handle();
+        let mut x = 0x5151_7e57u64;
+        for i in 0..6_000u64 {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let k = spread(((x >> 33) % 200) as i64);
+            match (x >> 11) % 3 {
+                0 => assert_eq!(hm.insert(k, -k), hs.add(k), "insert {k}"),
+                1 => assert_eq!(hm.remove(k).is_some(), hs.remove(k), "remove {k}"),
+                _ => assert_eq!(hm.get(k).is_some(), hs.contains(k), "get {k}"),
+            }
+            if i % 400 == 200 {
+                assert_eq!(map.force_split_at(k), set.force_split_at(k), "split {i}");
+            }
+            if i % 1200 == 1000 {
+                assert_eq!(map.force_merge_at(k), set.force_merge_at(k), "merge {i}");
+            }
+        }
+        assert_eq!((map.splits(), map.merges()), (set.splits(), set.merges()));
+        assert_eq!(hm.stats(), hs.stats());
+        // Pinned at the commit that introduced this test.
+        let s = hs.stats();
+        assert_eq!((s.adds, s.rems, s.cons, s.trav), (1065, 964, 11354, 21260));
+        assert_eq!((set.splits(), set.merges()), (15, 5));
+        assert!(hm.iter().iter().all(|&(k, v)| v == -k));
+        drop((hm, hs));
+        let (mut map, mut set) = (map, set);
+        let keys: Vec<i64> = map.collect().into_iter().map(|(k, _)| k).collect();
+        assert_eq!(keys, set.collect_keys());
+        map.check_invariants().unwrap();
+    }
+
     type MorphSet = ElasticMorphSet<i64, crate::variants::SinglyCursorEpochList<i64>>;
 
     /// Tiny morph bands so unit tests cross arm boundaries with a few
