@@ -9,14 +9,19 @@
 //! run**: the hottest shard is split at its median key into two finer
 //! shards, and cold adjacent shards are merged back.
 //!
-//! # One front, four presets
+//! # One front, three set presets and a map
 //!
-//! [`Elastic<K, B>`](Elastic) is the one elastic type, over a shard
-//! backend `B`. Callers name the backend through four preset aliases,
-//! each fixing the backend, its registry name and the policy `new()`
-//! builds under: [`ElasticSet`] (any ordered set), [`ElasticMorphSet`]
-//! and [`ElasticCombineSet`] (morphing shards, the latter under
-//! [`LoadPolicy::combining`]), and [`ElasticMap`] ([`ListMap`] shards).
+//! [`Elastic<K, B>`](Elastic) is the one elastic type: an ordered set
+//! over shard backend `B`. Callers name the backend through three preset
+//! aliases, each fixing the backend, its registry name and the policy
+//! `new()` builds under: [`ElasticSet`] (any ordered set),
+//! [`ElasticMorphSet`] and [`ElasticCombineSet`] (morphing shards, the
+//! latter under [`LoadPolicy::combining`]). [`ElasticMap`] is an
+//! [`ElasticSet`] of key-ordered map entries on the variant d) list
+//! (the value rides in the key's node, as in
+//! [`ListMap`](crate::map::ListMap)), so the core serves ordered sets
+//! only: one guarded write path (`CoreHandle::admit`) and one migration
+//! routine (`ElasticCore::migrate`).
 //!
 //! # The router
 //!
@@ -129,13 +134,14 @@ use std::ops::RangeBounds;
 use std::sync::atomic::Ordering::{Acquire, Relaxed, Release, SeqCst};
 use std::sync::Arc;
 
-use crate::map::{ListMap, MapEntry, MapHandle};
+use crate::map::{pairs, MapEntry};
 use crate::ordered::{OrderedHandle, ScanBounds, Snapshot};
 use crate::reclaim::str_eq;
 use crate::set::{ConcurrentOrderedSet, InvariantViolation, SetHandle};
 use crate::sharded::ShardKey;
 use crate::stats::{CachePadded, OpStats, WindowCounter};
-use crate::variants::{SinglyHintedList, UnrolledArenaList};
+use crate::variants::{SinglyCursorList, SinglyHintedList, UnrolledArenaList};
+use crate::Key;
 
 /// Thresholds steering the elastic load monitor.
 ///
@@ -321,201 +327,60 @@ pub const fn elastic_name(inner: &'static str) -> &'static str {
 mod backend {
     use super::*;
 
-    /// What the elastic core needs from a shard backend: construction, a
-    /// per-thread handle, an ordered scan, a sorted bulk load (the
-    /// migration copy path), and counter plumbing. Implemented for any
-    /// [`ConcurrentOrderedSet`] (via the [`SetBackend`] adapter), for the
-    /// morphing [`MorphBackend`], and for [`ListMap`].
-    pub trait ElasticBackend<K: ShardKey>: Send + Sync + Sized + 'static {
-        /// Per-thread backend handle.
-        type Handle<'a>
-        where
-            Self: 'a;
-        /// What a scan yields: `K` for sets, `(K, V)` for maps.
-        type Item: Copy + Send + Sync + 'static;
-
-        /// Stable CLI name of the elastic structure over this backend.
-        const NAME: &'static str;
-
+    /// What the elastic core needs from a shard backend beyond being an
+    /// ordered set: whether it can change arms when a migration rebuilds
+    /// it, and how. Implemented for any [`ConcurrentOrderedSet`] (via the
+    /// [`SetBackend`] adapter) and for the morphing [`MorphBackend`].
+    pub trait ElasticBackend<K: ShardKey>: ConcurrentOrderedSet<K> + 'static {
         /// `true` iff this backend can change arms when a migration
         /// rebuilds it ([`MorphBackend`]); gates the monitor's morph pass
         /// so single-backend sets never pay for it.
         const MORPHS: bool = false;
 
-        /// `true` iff write ops against this backend can be delegated to
-        /// a combiner ([`apply_delegated`](ElasticBackend::apply_delegated)
-        /// is implemented). Sets delegate; maps never do — a delegated op
-        /// carries only a key, not a value.
-        const COMBINES: bool = false;
-
-        /// Applies one delegated write op — `add(key)` or `remove(key)` —
-        /// through an existing backend handle, returning the op's result.
-        /// Only called when [`COMBINES`](ElasticBackend::COMBINES) is
-        /// `true`; both the combiner drain and the direct (non-delegated)
-        /// write path of delegation-capable sets funnel through it, so a
-        /// delegated op is indistinguishable from a direct one at the
-        /// backend.
-        fn apply_delegated<'a>(handle: &mut Self::Handle<'a>, key: K, remove: bool) -> bool {
-            let _ = (handle, key, remove);
-            unreachable!("backend does not support delegation (COMBINES = false)")
-        }
-
-        /// Builds an empty backend.
-        fn new() -> Self;
         /// Builds a backend running arm `kind`; single-arm backends
         /// ignore it.
         fn new_kind(kind: MorphKind) -> Self {
             let _ = kind;
             Self::new()
         }
+
         /// The arm this backend currently runs (single-arm backends
         /// report [`MorphKind::List`]).
         fn kind(&self) -> MorphKind {
             MorphKind::List
         }
-        /// A per-thread handle.
-        fn handle(&self) -> Self::Handle<'_>;
-        /// The key an item is ordered by.
-        fn item_key(item: &Self::Item) -> K;
-        /// Ordered scan of the live items inside `bounds`.
-        fn scan<'a>(handle: &mut Self::Handle<'a>, bounds: &ScanBounds<K>) -> Vec<Self::Item>;
-        /// Bulk-inserts `items` (sorted ascending; may be reordered).
-        fn load_sorted<'a>(handle: &mut Self::Handle<'a>, items: &mut [Self::Item]);
-        /// The handle's counters.
-        fn stats(handle: &Self::Handle<'_>) -> OpStats;
-        /// Reads (and, where supported, resets) the handle's counters.
-        /// Called once, immediately before the handle is dropped, when a
-        /// router refresh evicts it.
-        fn drain_stats<'a>(handle: &mut Self::Handle<'a>) -> OpStats;
-        /// Estimated live items.
-        fn len_estimate<'a>(handle: &mut Self::Handle<'a>) -> usize;
-        /// Quiescent snapshot of all items, ascending.
-        fn collect_items(&mut self) -> Vec<Self::Item>;
-        /// Quiescent structural check.
-        fn check(&mut self) -> Result<(), InvariantViolation>;
     }
 
-    /// Adapter giving any ordered set the [`ElasticBackend`] surface.
-    pub struct SetBackend<K, B>(B, PhantomData<K>);
+    /// Adapter giving any ordered set the [`ElasticBackend`] surface: the
+    /// set itself, renamed to the elastic structure's registry name.
+    pub struct SetBackend<B>(B);
 
-    impl<K, B> ElasticBackend<K> for SetBackend<K, B>
-    where
-        K: ShardKey,
-        B: ConcurrentOrderedSet<K> + 'static,
-        for<'a> B::Handle<'a>: OrderedHandle<K>,
-    {
+    impl<K: ShardKey, B: ConcurrentOrderedSet<K> + 'static> ConcurrentOrderedSet<K> for SetBackend<B> {
         type Handle<'a>
             = B::Handle<'a>
         where
             Self: 'a;
-        type Item = K;
 
         const NAME: &'static str = elastic_name(B::NAME);
-        const COMBINES: bool = true;
-
-        fn apply_delegated<'a>(handle: &mut B::Handle<'a>, key: K, remove: bool) -> bool {
-            if remove {
-                handle.remove(key)
-            } else {
-                handle.add(key)
-            }
-        }
 
         fn new() -> Self {
-            SetBackend(B::new(), PhantomData)
+            SetBackend(B::new())
         }
 
         fn handle(&self) -> B::Handle<'_> {
             self.0.handle()
         }
 
-        fn item_key(item: &K) -> K {
-            *item
-        }
-
-        fn scan<'a>(handle: &mut B::Handle<'a>, bounds: &ScanBounds<K>) -> Vec<K> {
-            handle.range(*bounds).into_vec()
-        }
-
-        fn load_sorted<'a>(handle: &mut B::Handle<'a>, items: &mut [K]) {
-            handle.add_batch(items);
-        }
-
-        fn stats(handle: &B::Handle<'_>) -> OpStats {
-            handle.stats()
-        }
-
-        fn drain_stats<'a>(handle: &mut B::Handle<'a>) -> OpStats {
-            handle.take_stats()
-        }
-
-        fn len_estimate<'a>(handle: &mut B::Handle<'a>) -> usize {
-            handle.len_estimate()
-        }
-
-        fn collect_items(&mut self) -> Vec<K> {
+        fn collect_keys(&mut self) -> Vec<K> {
             self.0.collect_keys()
         }
 
-        fn check(&mut self) -> Result<(), InvariantViolation> {
+        fn check_invariants(&mut self) -> Result<(), InvariantViolation> {
             self.0.check_invariants()
         }
     }
 
-    impl<K, V> ElasticBackend<K> for ListMap<K, V>
-    where
-        K: ShardKey,
-        V: Copy + Send + Sync + 'static,
-    {
-        type Handle<'a>
-            = MapHandle<'a, K, V>
-        where
-            Self: 'a;
-        type Item = (K, V);
-
-        const NAME: &'static str = "elastic_map";
-
-        fn new() -> Self {
-            ListMap::new()
-        }
-
-        fn handle(&self) -> MapHandle<'_, K, V> {
-            self.handle()
-        }
-
-        fn item_key(item: &(K, V)) -> K {
-            item.0
-        }
-
-        fn scan<'a>(handle: &mut MapHandle<'a, K, V>, bounds: &ScanBounds<K>) -> Vec<(K, V)> {
-            handle.range(*bounds).into_vec()
-        }
-
-        fn load_sorted<'a>(handle: &mut MapHandle<'a, K, V>, items: &mut [(K, V)]) {
-            let mut entries: Vec<_> = items.iter().map(|&(k, v)| MapEntry::new(k, v)).collect();
-            handle.entries.add_batch(&mut entries);
-        }
-
-        fn stats(handle: &MapHandle<'_, K, V>) -> OpStats {
-            handle.stats()
-        }
-
-        fn drain_stats<'a>(handle: &mut MapHandle<'a, K, V>) -> OpStats {
-            handle.entries.take_stats()
-        }
-
-        fn len_estimate<'a>(handle: &mut MapHandle<'a, K, V>) -> usize {
-            handle.len_estimate()
-        }
-
-        fn collect_items(&mut self) -> Vec<(K, V)> {
-            self.collect()
-        }
-
-        fn check(&mut self) -> Result<(), InvariantViolation> {
-            self.list.validate()
-        }
-    }
+    impl<K: ShardKey, B: ConcurrentOrderedSet<K> + 'static> ElasticBackend<K> for SetBackend<B> {}
 
     /// The morphing shard backend: one of three arms, chosen per shard by
     /// [`LoadPolicy::morph_kind`] whenever a migration (re)builds the
@@ -541,13 +406,14 @@ mod backend {
         Skip(S::Handle<'a>),
     }
 
-    /// Forwards one method call to whichever arm the handle runs.
+    /// Forwards one method call to whichever arm the backend or handle
+    /// runs.
     macro_rules! morph_delegate {
-        ($handle:expr, $h:ident => $body:expr) => {
-            match $handle {
-                MorphHandle::List($h) => $body,
-                MorphHandle::Unrolled($h) => $body,
-                MorphHandle::Skip($h) => $body,
+        ($value:expr, $h:ident => $body:expr) => {
+            match $value {
+                Self::List($h) => $body,
+                Self::Unrolled($h) => $body,
+                Self::Skip($h) => $body,
             }
         };
     }
@@ -602,7 +468,7 @@ mod backend {
         }
     }
 
-    impl<K, S> ElasticBackend<K> for MorphBackend<K, S>
+    impl<K, S> ConcurrentOrderedSet<K> for MorphBackend<K, S>
     where
         K: ShardKey,
         S: ConcurrentOrderedSet<K> + 'static,
@@ -612,23 +478,37 @@ mod backend {
             = MorphHandle<'a, K, S>
         where
             Self: 'a;
-        type Item = K;
 
         const NAME: &'static str = "elastic_morph";
-        const MORPHS: bool = true;
-        const COMBINES: bool = true;
-
-        fn apply_delegated<'a>(handle: &mut MorphHandle<'a, K, S>, key: K, remove: bool) -> bool {
-            if remove {
-                handle.remove(key)
-            } else {
-                handle.add(key)
-            }
-        }
 
         fn new() -> Self {
             Self::new_kind(MorphKind::List)
         }
+
+        fn handle(&self) -> MorphHandle<'_, K, S> {
+            match self {
+                MorphBackend::List(b) => MorphHandle::List(b.handle()),
+                MorphBackend::Unrolled(b) => MorphHandle::Unrolled(b.handle()),
+                MorphBackend::Skip(b) => MorphHandle::Skip(b.handle()),
+            }
+        }
+
+        fn collect_keys(&mut self) -> Vec<K> {
+            morph_delegate!(self, b => b.collect_keys())
+        }
+
+        fn check_invariants(&mut self) -> Result<(), InvariantViolation> {
+            morph_delegate!(self, b => b.check_invariants())
+        }
+    }
+
+    impl<K, S> ElasticBackend<K> for MorphBackend<K, S>
+    where
+        K: ShardKey,
+        S: ConcurrentOrderedSet<K> + 'static,
+        for<'a> S::Handle<'a>: OrderedHandle<K>,
+    {
+        const MORPHS: bool = true;
 
         fn new_kind(kind: MorphKind) -> Self {
             match kind {
@@ -643,54 +523,6 @@ mod backend {
                 MorphBackend::List(_) => MorphKind::List,
                 MorphBackend::Unrolled(_) => MorphKind::Unrolled,
                 MorphBackend::Skip(_) => MorphKind::Skip,
-            }
-        }
-
-        fn handle(&self) -> MorphHandle<'_, K, S> {
-            match self {
-                MorphBackend::List(b) => MorphHandle::List(b.handle()),
-                MorphBackend::Unrolled(b) => MorphHandle::Unrolled(b.handle()),
-                MorphBackend::Skip(b) => MorphHandle::Skip(b.handle()),
-            }
-        }
-
-        fn item_key(item: &K) -> K {
-            *item
-        }
-
-        fn scan<'a>(handle: &mut MorphHandle<'a, K, S>, bounds: &ScanBounds<K>) -> Vec<K> {
-            handle.range(*bounds).into_vec()
-        }
-
-        fn load_sorted<'a>(handle: &mut MorphHandle<'a, K, S>, items: &mut [K]) {
-            handle.add_batch(items);
-        }
-
-        fn stats(handle: &MorphHandle<'_, K, S>) -> OpStats {
-            handle.stats()
-        }
-
-        fn drain_stats<'a>(handle: &mut MorphHandle<'a, K, S>) -> OpStats {
-            handle.take_stats()
-        }
-
-        fn len_estimate<'a>(handle: &mut MorphHandle<'a, K, S>) -> usize {
-            handle.len_estimate()
-        }
-
-        fn collect_items(&mut self) -> Vec<K> {
-            match self {
-                MorphBackend::List(b) => b.collect_keys(),
-                MorphBackend::Unrolled(b) => b.collect_keys(),
-                MorphBackend::Skip(b) => b.collect_keys(),
-            }
-        }
-
-        fn check(&mut self) -> Result<(), InvariantViolation> {
-            match self {
-                MorphBackend::List(b) => b.check_invariants(),
-                MorphBackend::Unrolled(b) => b.check_invariants(),
-                MorphBackend::Skip(b) => b.check_invariants(),
             }
         }
     }
@@ -891,6 +723,73 @@ impl<K> CombineRegistry<K> {
     }
 }
 
+/// The combine-slot word of a pending op (`add`, or `remove` when
+/// `remove` is set) on shard `shard_id`.
+fn pending_word(shard_id: u64, remove: bool) -> u64 {
+    let tag = if remove { COMBINE_REMOVE } else { COMBINE_ADD };
+    (shard_id << COMBINE_TAG_BITS) | tag
+}
+
+/// Applies one single-key write through a backend handle. The direct
+/// write path and the combiner's drain both run it, so a delegated op is
+/// indistinguishable from a direct one at the backend.
+fn apply<K: Key>(handle: &mut impl SetHandle<K>, key: K, remove: bool) -> bool {
+    if remove {
+        handle.remove(key)
+    } else {
+        handle.add(key)
+    }
+}
+
+/// Clears a published activity slot when dropped, so an operation that
+/// unwinds out of a backend call never leaves a migration draining it.
+struct Published<'a>(&'a AtomicU64);
+
+impl Drop for Published<'_> {
+    fn drop(&mut self) {
+        self.0.store(SLOT_IDLE, Release);
+    }
+}
+
+/// The exit of one combiner drain pass, run on every path out of
+/// `CoreHandle::combine_drain` — unwinding out of a panicking backend op
+/// included, so a panic cannot strand the shard or its waiters:
+///
+/// * claimed ops without a published result go back to their owners:
+///   the pending word is restored ([`COMBINER_HANDOFF`] passes the
+///   payload cell on), so each owner's wait loop re-runs its op, as its
+///   own combiner if need be;
+/// * if the pass did not finish, the combiner's own op is withdrawn, as
+///   its caller is unwinding and will not wait for it (under the
+///   combiner lock no other thread can claim it);
+/// * the activity slot is cleared and the combiner lock released.
+struct DrainExit<'a, K, B> {
+    shard: &'a ShardState<K, B>,
+    slot: &'a AtomicU64,
+    own: &'a CombineSlot<K>,
+    peers: &'a [Arc<CombineSlot<K>>],
+    /// `(peers index, key, remove)` of every op this pass claimed.
+    claimed: &'a mut Vec<(usize, K, bool)>,
+    /// Claimed ops whose result has been published.
+    applied: usize,
+    finished: bool,
+}
+
+impl<K, B> Drop for DrainExit<'_, K, B> {
+    fn drop(&mut self) {
+        for &(i, _, remove) in &self.claimed[self.applied..] {
+            let pending = pending_word(self.shard.id, remove);
+            self.peers[i].word.0.store(pending, COMBINER_HANDOFF);
+        }
+        self.claimed.clear();
+        if !self.finished {
+            self.own.word.0.store(COMBINE_IDLE, Release);
+        }
+        self.slot.store(SLOT_IDLE, Release);
+        self.shard.combiner.store(false, Release);
+    }
+}
+
 /// One immutable, RCU-published generation of the routing table:
 /// shards sorted by `lo`, intervals contiguous from rank 0. Never
 /// mutated after publication; writers build a fresh table and retire
@@ -945,6 +844,18 @@ unsafe fn drop_retired_table<K: ShardKey, B: ElasticBackend<K>>(ptr: usize, _unu
     unsafe { drop(Arc::from_raw(ptr as *const RouterTable<K, B>)) };
 }
 
+/// The plan of one migration (see `ElasticCore::migrate`): which shards
+/// it seals and what it rebuilds their keys into.
+#[derive(Clone, Copy)]
+enum Plan {
+    /// Split one shard at its median key.
+    Split,
+    /// Merge one shard with its right neighbour.
+    Merge,
+    /// Rebuild one shard in another backend arm.
+    Morph(MorphKind),
+}
+
 /// The shared elastic state: the published table pointer, the writer
 /// lock, and the monitor plumbing.
 struct ElasticCore<K, B> {
@@ -962,8 +873,7 @@ struct ElasticCore<K, B> {
     next_id: AtomicU64,
     policy: LoadPolicy,
     slots: SlotRegistry,
-    /// Per-handle flat-combining mailbox slots (delegation-capable sets
-    /// only; empty for maps).
+    /// Per-handle flat-combining mailbox slots.
     combine: CombineRegistry<K>,
     /// When set (tests, diagnostics), every current and future shard's
     /// delegation flag is pinned on and the monitor's delegation sweep
@@ -992,7 +902,12 @@ impl<K, B> Drop for ElasticCore<K, B> {
     }
 }
 
-impl<K: ShardKey, B: ElasticBackend<K>> ElasticCore<K, B> {
+impl<K, B> ElasticCore<K, B>
+where
+    K: ShardKey,
+    B: ElasticBackend<K>,
+    for<'a> B::Handle<'a>: OrderedHandle<K>,
+{
     fn new(policy: LoadPolicy) -> Self {
         policy.validate();
         let n = policy.initial_shards;
@@ -1127,26 +1042,14 @@ impl<K: ShardKey, B: ElasticBackend<K>> ElasticCore<K, B> {
         }
     }
 
-    /// Builds a fresh shard preloaded with `items` (sorted ascending),
-    /// running the arm [`LoadPolicy::morph_kind`] picks for that
-    /// population — the seal-time morph decision. Single-backend sets
-    /// ignore the arm.
-    fn new_shard(&self, lo: u64, items: &mut [B::Item]) -> Arc<ShardState<K, B>> {
-        self.new_shard_kind(lo, items, self.policy.morph_kind(items.len()))
-    }
-
-    /// Builds a fresh shard in the given arm, preloaded with `items`.
-    fn new_shard_kind(
-        &self,
-        lo: u64,
-        items: &mut [B::Item],
-        kind: MorphKind,
-    ) -> Arc<ShardState<K, B>> {
+    /// Builds a fresh shard preloaded with `keys` (sorted ascending)
+    /// through the backend's sorted batch path. It runs arm `kind`, or
+    /// by default the arm [`LoadPolicy::morph_kind`] picks for that
+    /// population: the seal-time morph decision.
+    fn new_shard(&self, lo: u64, keys: &mut [K], kind: Option<MorphKind>) -> Arc<ShardState<K, B>> {
+        let kind = kind.unwrap_or_else(|| self.policy.morph_kind(keys.len()));
         let backend = B::new_kind(kind);
-        {
-            let mut h = backend.handle();
-            B::load_sorted(&mut h, items);
-        }
+        backend.handle().add_batch(keys);
         Arc::new(ShardState {
             id: self.next_id.fetch_add(1, Relaxed),
             lo,
@@ -1164,100 +1067,72 @@ impl<K: ShardKey, B: ElasticBackend<K>> ElasticCore<K, B> {
         })
     }
 
-    /// Splits shard `idx` at its median key and publishes the new
-    /// table. `false` if the shard is too small, its keys cannot be
-    /// partitioned (all on one rank), or the table is full; an aborted
-    /// split unseals the shard so stalled operations proceed.
-    fn split_locked(&self, writer: &MutexGuard<'_, ()>, idx: usize) -> bool {
+    /// Runs one migration of the shard at `idx` (and, for a merge, its
+    /// right neighbour): seal → drain → copy → rebuild → publish. The
+    /// plan only decides which shards are sealed and what their copied
+    /// keys are rebuilt into. `false` if the plan does not apply
+    /// (table full, no right neighbour, arm already running) or a split
+    /// finds its keys cannot be partitioned (too few, or all on one
+    /// rank); an aborted split unseals the shard so stalled operations
+    /// proceed.
+    fn migrate(&self, writer: &MutexGuard<'_, ()>, idx: usize, plan: Plan) -> bool {
         let (old, hi) = {
-            let table = self.published(writer);
-            if table.shards.len() >= self.policy.max_shards {
+            let table = &self.published(writer).shards;
+            let applies = match plan {
+                Plan::Split => table.len() < self.policy.max_shards,
+                Plan::Merge => idx + 1 < table.len(),
+                Plan::Morph(kind) => table[idx].backend.kind() != kind,
+            };
+            if !applies {
                 return false;
             }
-            (
-                Arc::clone(&table.shards[idx]),
-                table.shards.get(idx + 1).map(|s| s.lo),
-            )
+            let end = if matches!(plan, Plan::Merge) {
+                idx + 2
+            } else {
+                idx + 1
+            };
+            (table[idx..end].to_vec(), table.get(end).map(|s| s.lo))
         };
-        old.sealed.store(true, SeqCst);
-        self.drain(old.id);
-        let mut items = {
-            let mut h = old.backend.handle();
-            B::scan(&mut h, &ScanBounds::from_range(&(..)))
-        };
-        let mid = if items.len() >= self.policy.min_split_keys.max(2) {
-            let m = B::item_key(&items[items.len() / 2]).rank64();
-            (m > old.lo && hi.is_none_or(|h| m < h)).then_some(m)
-        } else {
-            None
-        };
-        let Some(mid) = mid else {
-            // Abort: reopen the shard; nothing changed.
-            old.sealed.store(false, SeqCst);
-            return false;
-        };
-        let cut = items.partition_point(|it| B::item_key(it).rank64() < mid);
-        let (lo_items, hi_items) = items.split_at_mut(cut);
-        let left = self.new_shard(old.lo, lo_items);
-        let right = self.new_shard(mid, hi_items);
-        let mut shards = self.published(writer).shards.clone();
-        shards.splice(idx..=idx, [left, right]);
-        self.publish(writer, shards);
-        self.splits.fetch_add(1, Relaxed);
-        true
-    }
-
-    /// Merges shards `idx` and `idx + 1` and publishes the new table.
-    fn merge_locked(&self, writer: &MutexGuard<'_, ()>, idx: usize) -> bool {
-        let (a, b) = {
-            let table = self.published(writer);
-            if idx + 1 >= table.shards.len() {
-                return false;
-            }
-            (
-                Arc::clone(&table.shards[idx]),
-                Arc::clone(&table.shards[idx + 1]),
-            )
-        };
-        a.sealed.store(true, SeqCst);
-        b.sealed.store(true, SeqCst);
-        self.drain(a.id);
-        self.drain(b.id);
-        let everything = ScanBounds::from_range(&(..));
-        let mut items = {
-            let mut h = a.backend.handle();
-            B::scan(&mut h, &everything)
-        };
-        items.extend({
-            let mut h = b.backend.handle();
-            B::scan(&mut h, &everything)
-        });
-        let merged = self.new_shard(a.lo, &mut items);
-        let mut shards = self.published(writer).shards.clone();
-        shards.splice(idx..=idx + 1, [merged]);
-        self.publish(writer, shards);
-        self.merges.fetch_add(1, Relaxed);
-        true
-    }
-
-    /// Rebuilds shard `idx` in backend arm `kind` (seal → drain → copy
-    /// → publish). `false` if the shard already runs that arm.
-    fn morph_locked(&self, writer: &MutexGuard<'_, ()>, idx: usize, kind: MorphKind) -> bool {
-        let old = Arc::clone(&self.published(writer).shards[idx]);
-        if old.backend.kind() == kind {
-            return false;
+        for shard in &old {
+            shard.sealed.store(true, SeqCst);
         }
-        old.sealed.store(true, SeqCst);
-        self.drain(old.id);
-        let mut items = {
-            let mut h = old.backend.handle();
-            B::scan(&mut h, &ScanBounds::from_range(&(..)))
+        for shard in &old {
+            self.drain(shard.id);
+        }
+        let mut keys: Vec<K> = Vec::new();
+        for shard in &old {
+            keys.extend(shard.backend.handle().range(..).into_vec());
+        }
+        let lo = old[0].lo;
+        let fresh = match plan {
+            Plan::Split => {
+                let mid = (keys.len() >= self.policy.min_split_keys.max(2))
+                    .then(|| keys[keys.len() / 2].rank64())
+                    .filter(|&m| m > lo && hi.is_none_or(|h| m < h));
+                let Some(mid) = mid else {
+                    // Abort: reopen the shard; nothing changed.
+                    old[0].sealed.store(false, SeqCst);
+                    return false;
+                };
+                let cut = keys.partition_point(|k| k.rank64() < mid);
+                let (left, right) = keys.split_at_mut(cut);
+                vec![
+                    self.new_shard(lo, left, None),
+                    self.new_shard(mid, right, None),
+                ]
+            }
+            Plan::Merge => vec![self.new_shard(lo, &mut keys, None)],
+            Plan::Morph(kind) => vec![self.new_shard(lo, &mut keys, Some(kind))],
         };
-        let fresh = self.new_shard_kind(old.lo, &mut items, kind);
         let mut shards = self.published(writer).shards.clone();
-        shards[idx] = fresh;
+        shards.splice(idx..idx + old.len(), fresh);
         self.publish(writer, shards);
-        self.morphs.fetch_add(1, Relaxed);
+        let committed = match plan {
+            Plan::Split => &self.splits,
+            Plan::Merge => &self.merges,
+            Plan::Morph(_) => &self.morphs,
+        };
+        committed.fetch_add(1, Relaxed);
         true
     }
 
@@ -1289,14 +1164,8 @@ impl<K: ShardKey, B: ElasticBackend<K>> ElasticCore<K, B> {
         // moves the contended hot set to a child and leaves it just as
         // contended; the combiner turns it into the amortized batch
         // path). Suspended while a test has the flags pinned.
-        if B::COMBINES && self.policy.combine_write_pct > 0 && !self.combine_pin.load(Relaxed) {
-            let table_shards: Vec<_> = self
-                .published(&writer)
-                .shards
-                .iter()
-                .map(Arc::clone)
-                .collect();
-            for (i, shard) in table_shards.iter().enumerate() {
+        if self.policy.combine_write_pct > 0 && !self.combine_pin.load(Relaxed) {
+            for (i, shard) in self.published(&writer).shards.iter().enumerate() {
                 let cur = shard.combining.load(Relaxed);
                 let want = self.policy.combine_settled(writes[i], window[i], cur);
                 if want != cur {
@@ -1312,8 +1181,7 @@ impl<K: ShardKey, B: ElasticBackend<K>> ElasticCore<K, B> {
             .enumerate()
             .max_by_key(|&(_, ops)| *ops)
             .expect("router table is never empty");
-        let hot_delegated = B::COMBINES
-            && self.policy.combine_write_pct > 0
+        let hot_delegated = self.policy.combine_write_pct > 0
             && self
                 .published(&writer)
                 .shards
@@ -1322,7 +1190,7 @@ impl<K: ShardKey, B: ElasticBackend<K>> ElasticCore<K, B> {
         if !hot_delegated
             && hot_ops * 100 > total * self.policy.split_share_pct as u64
             && shard_len < self.policy.max_shards
-            && self.split_locked(&writer, hot)
+            && self.migrate(&writer, hot, Plan::Split)
         {
             return;
         }
@@ -1338,7 +1206,7 @@ impl<K: ShardKey, B: ElasticBackend<K>> ElasticCore<K, B> {
                 .min_by_key(|&(_, ops)| ops)
                 .expect("≥ 2 shards here");
             if pair_ops * 100 < total * self.policy.merge_share_pct as u64
-                && self.merge_locked(&writer, cold)
+                && self.migrate(&writer, cold, Plan::Merge)
             {
                 return;
             }
@@ -1354,37 +1222,25 @@ impl<K: ShardKey, B: ElasticBackend<K>> ElasticCore<K, B> {
         // every arm already matches costs only a length probe per shard.
         // (No split or merge committed above, so the table is unchanged.)
         if B::MORPHS {
-            let shards: Vec<_> = self
-                .published(&writer)
-                .shards
-                .iter()
-                .map(Arc::clone)
-                .collect();
+            let shards = self.published(&writer).shards.clone();
             for (idx, shard) in shards.iter().enumerate() {
-                let len = {
-                    let mut h = shard.backend.handle();
-                    B::len_estimate(&mut h)
-                };
+                let len = shard.backend.handle().len_estimate();
                 let cur = shard.backend.kind();
                 let want = self.policy.morph_kind_settled(len, cur);
                 if want != cur {
-                    self.morph_locked(&writer, idx, want);
+                    self.migrate(&writer, idx, Plan::Morph(want));
                 }
             }
         }
     }
 
-    /// Runs the migration `op` on the shard owning `key`'s rank, under
+    /// Runs the migration `plan` on the shard owning `key`'s rank, under
     /// the writer lock (deterministic test and operational support).
     /// `true` iff it committed.
-    fn migrate_at(
-        &self,
-        key: K,
-        op: impl FnOnce(&Self, &MutexGuard<'_, ()>, usize) -> bool,
-    ) -> bool {
+    fn migrate_at(&self, key: K, plan: Plan) -> bool {
         let writer = self.writer.lock().unwrap();
         let idx = Self::route_in(&self.published(&writer).shards, key.rank64());
-        op(self, &writer, idx)
+        self.migrate(&writer, idx, plan)
     }
 
     /// Runs `f` over the published table from a plain `&self` context
@@ -1406,43 +1262,35 @@ impl<K: ShardKey, B: ElasticBackend<K>> ElasticCore<K, B> {
         self.tables_alive.load(Acquire)
     }
 
-    /// Drives the epoch collector until every retired table generation
-    /// has been freed, leaving the published table the sole owner of
-    /// its shards. Bounded: concurrent pins are short-lived, so the
-    /// grace periods pass in a few rounds.
-    fn await_quiescence(&self) {
-        for _ in 0..100_000 {
-            if self.tables_alive() == 1 {
-                return;
-            }
+    /// Exclusive access to every shard of the published table, in key
+    /// order: the one path by which quiescent code reaches the shards.
+    /// `&mut self` rules out handles and migrations, so the only other
+    /// owners of a shard are retired table generations whose
+    /// epoch-deferred drop has not run yet (possibly on another thread's
+    /// flush). Drives the collector until every retired generation is
+    /// freed and every shard's strong count is 1 — the condition
+    /// `Arc::get_mut` checks — so the `get_mut` below cannot fail.
+    fn shards_mut(&mut self) -> Vec<&mut ShardState<K, B>> {
+        let p = self.table.load(Acquire);
+        // SAFETY: `&mut self` excludes readers and writers, so the
+        // published `Arc` (leaked at publish, strong count 1) is neither
+        // replaced nor shared for the `&mut self` borrow.
+        let shards = unsafe { &mut (*p).shards };
+        while self.tables_alive() > 1 || shards.iter().any(|s| Arc::strong_count(s) > 1) {
             crossbeam_epoch::pin().flush();
             crate::sync::thread_yield();
         }
-        panic!("retired router tables failed to collect on a quiescent structure");
-    }
-
-    /// Exclusive access to every shard of the published table, in key
-    /// order: the one path by which quiescent code reaches the shards.
-    /// Requires `&mut self` (no handles, no concurrent migrations).
-    fn shards_mut(&mut self) -> Vec<&mut ShardState<K, B>> {
-        self.await_quiescence();
-        let p = self.table.load(Acquire);
-        // SAFETY: `&mut self` excludes readers and writers, and
-        // `await_quiescence` drained every retired generation, so the
-        // published `Arc` (leaked at publish, strong count 1) is solely
-        // ours for the `&mut self` borrow.
-        let shards = unsafe { &mut (*p).shards };
         shards
             .iter_mut()
-            .map(|s| Arc::get_mut(s).expect("quiescent elastic structure still shares a shard"))
+            .map(|s| Arc::get_mut(s).expect("every shard is unshared after the wait"))
             .collect()
     }
 
-    /// Quiescent snapshot of all items across shards, ascending.
-    fn collect_items(&mut self) -> Vec<B::Item> {
+    /// Quiescent snapshot of all keys across shards, ascending.
+    fn collect_keys(&mut self) -> Vec<K> {
         self.shards_mut()
             .into_iter()
-            .flat_map(|shard| shard.backend.collect_items())
+            .flat_map(|shard| shard.backend.collect_keys())
             .collect()
     }
 
@@ -1461,9 +1309,9 @@ impl<K: ShardKey, B: ElasticBackend<K>> ElasticCore<K, B> {
             if hi.is_some_and(|hi| hi <= lo) || shard.sealed.load(Relaxed) {
                 return Err(InvariantViolation::RouterCorrupt { interval: i });
             }
-            shard.backend.check()?;
-            for (position, item) in shard.backend.collect_items().iter().enumerate() {
-                let rank = B::item_key(item).rank64();
+            shard.backend.check_invariants()?;
+            for (position, key) in shard.backend.collect_keys().iter().enumerate() {
+                let rank = key.rank64();
                 if rank < lo || hi.is_some_and(|hi| rank >= hi) {
                     return Err(InvariantViolation::ShardMisrouted { shard: i, position });
                 }
@@ -1529,9 +1377,9 @@ unsafe fn erase_handle_lifetime<'a, K: ShardKey, B: ElasticBackend<K>>(
     unsafe { std::mem::transmute_copy(&handle) }
 }
 
-/// The per-thread elastic handle machinery shared by the set and map
-/// wrappers: router snapshot, activity slot, op protocol, stitched
-/// scans, and the amortized monitor hook.
+/// The per-thread elastic handle machinery behind [`ElasticHandle`] and
+/// [`ElasticMapHandle`]: router snapshot, activity slot, op protocol,
+/// stitched scans, and the amortized monitor hook.
 struct CoreHandle<'s, K: ShardKey, B: ElasticBackend<K>> {
     core: &'s ElasticCore<K, B>,
     slot: Arc<CachePadded<AtomicU64>>,
@@ -1579,7 +1427,12 @@ impl<K: ShardKey, B: ElasticBackend<K>> Drop for CoreHandle<'_, K, B> {
     }
 }
 
-impl<'s, K: ShardKey, B: ElasticBackend<K>> CoreHandle<'s, K, B> {
+impl<K, B> CoreHandle<'_, K, B>
+where
+    K: ShardKey,
+    B: ElasticBackend<K>,
+    for<'a> B::Handle<'a>: OrderedHandle<K>,
+{
     #[inline]
     fn maybe_refresh(&mut self) {
         // The entire router read path: one `Acquire` load of the
@@ -1614,7 +1467,7 @@ impl<'s, K: ShardKey, B: ElasticBackend<K>> CoreHandle<'s, K, B> {
         self.last_idx = 0;
         for mut evicted in old {
             if let Some(h) = &mut evicted.cached {
-                self.carry += B::drain_stats(h);
+                self.carry += h.take_stats();
             }
         }
     }
@@ -1637,92 +1490,98 @@ impl<'s, K: ShardKey, B: ElasticBackend<K>> CoreHandle<'s, K, B> {
         i
     }
 
-    /// Waits out a migration of `shard`: returns when the published
-    /// table moved past this handle's snapshot (commit) or the shard
-    /// was unsealed (aborted split). `snapshot` is only compared by
-    /// address, never dereferenced.
-    fn stall(
-        core: &ElasticCore<K, B>,
-        snapshot: *const RouterTable<K, B>,
-        shard: &ShardState<K, B>,
-    ) {
-        loop {
-            if !std::ptr::eq(core.table.load(Acquire), snapshot) || !shard.sealed.load(SeqCst) {
-                return;
-            }
+    /// Waits out a migration of the shard at `idx`: returns when the
+    /// published table moved past this handle's snapshot (commit) or the
+    /// shard was unsealed (aborted split).
+    fn stall(&self, idx: usize) {
+        let shard = &self.entries[idx].shard;
+        while std::ptr::eq(self.core.table.load(Acquire), Arc::as_ptr(&self.table))
+            && shard.sealed.load(SeqCst)
+        {
             crate::sync::thread_yield();
         }
     }
 
-    /// Runs `op` against the backend handle of the shard owning `key`,
-    /// with the full migration protocol: revalidate snapshot, publish
-    /// the activity slot, re-check the seal, retry on migration races.
-    fn with_shard<R>(&mut self, key: K, mut op: impl FnMut(&mut B::Handle<'static>) -> R) -> R {
-        let rank = key.rank64();
+    /// The one guarded entry of every operation that writes (or, for a
+    /// scan, must see a write-quiescent shard): revalidate the snapshot,
+    /// route `rank`, publish the shard's id in the activity slot,
+    /// re-check the seal, and on a seal unpublish, wait out the
+    /// migration and retry. Returns `Ok(idx)` with the slot still
+    /// published; [`run`](CoreHandle::run) performs the op and clears it.
+    ///
+    /// `delegate` names a single-key write (`key`, `remove`) that may run
+    /// through the shard's combiner instead: when the routed shard is
+    /// flagged write-hot, the op is handed to [`delegate`](CoreHandle::delegate)
+    /// and its result comes back as `Err`.
+    fn admit(&mut self, rank: u64, delegate: Option<(K, bool)>) -> Result<usize, bool> {
         loop {
             self.maybe_refresh();
             let idx = self.route(rank);
-            self.slot.0.store(self.entries[idx].shard.id, SLOT_PUBLISH);
-            if self.entries[idx].shard.sealed.load(SeqCst) {
-                self.slot.0.store(SLOT_IDLE, Release);
-                Self::stall(
-                    self.core,
-                    Arc::as_ptr(&self.table),
-                    &self.entries[idx].shard,
-                );
-                continue;
-            }
-            let out = op(self.entries[idx].handle());
-            self.slot.0.store(SLOT_IDLE, Release);
-            self.note_writes(idx, 1);
-            self.note_ops(idx, 1);
-            return out;
-        }
-    }
-
-    /// Single-key write op (`add` when `remove` is false, `remove`
-    /// otherwise) for delegation-capable backends: the
-    /// [`with_shard`](CoreHandle::with_shard) protocol, plus a
-    /// flat-combining branch — when the routed shard is flagged
-    /// write-hot the op is enqueued into this handle's combine slot for
-    /// a combiner to apply through the shard's batch path instead of
-    /// CAS-racing the other writers directly.
-    fn update(&mut self, key: K, remove: bool) -> bool {
-        let rank = key.rank64();
-        loop {
-            self.maybe_refresh();
-            let idx = self.route(rank);
-            if B::COMBINES && self.entries[idx].shard.combining.load(Relaxed) {
-                match self.delegate(idx, key, remove) {
-                    Some(out) => return out,
-                    // The shard sealed while the op was still pending
-                    // and the retraction won: wait out the migration,
-                    // then re-route.
-                    None => {
-                        Self::stall(
-                            self.core,
-                            Arc::as_ptr(&self.table),
-                            &self.entries[idx].shard,
-                        );
-                        continue;
+            let shard = &self.entries[idx].shard;
+            if let Some((key, remove)) = delegate {
+                if shard.combining.load(Relaxed) {
+                    match self.delegate(idx, key, remove) {
+                        Some(out) => return Err(out),
+                        // The shard sealed while the op was still pending
+                        // and the retraction won: wait out the migration,
+                        // then re-route.
+                        None => {
+                            self.stall(idx);
+                            continue;
+                        }
                     }
                 }
             }
-            self.slot.0.store(self.entries[idx].shard.id, SLOT_PUBLISH);
-            if self.entries[idx].shard.sealed.load(SeqCst) {
-                self.slot.0.store(SLOT_IDLE, Release);
-                Self::stall(
-                    self.core,
-                    Arc::as_ptr(&self.table),
-                    &self.entries[idx].shard,
-                );
-                continue;
+            self.slot.0.store(shard.id, SLOT_PUBLISH);
+            if !shard.sealed.load(SeqCst) {
+                return Ok(idx);
             }
-            let out = B::apply_delegated(self.entries[idx].handle(), key, remove);
             self.slot.0.store(SLOT_IDLE, Release);
-            self.note_writes(idx, 1);
-            self.note_ops(idx, 1);
-            return out;
+            self.stall(idx);
+        }
+    }
+
+    /// [`admit`](CoreHandle::admit) for an operation that never
+    /// delegates.
+    fn enter(&mut self, rank: u64) -> usize {
+        self.admit(rank, None)
+            .unwrap_or_else(|_| unreachable!("only delegated writes bypass the shard"))
+    }
+
+    /// Runs `op` on the admitted shard at `idx`, clears the activity slot
+    /// (also if `op` unwinds) and accounts `ops` operations, `writes` of
+    /// them writes.
+    fn run<R>(
+        &mut self,
+        idx: usize,
+        writes: u32,
+        ops: u32,
+        op: impl FnOnce(&mut B::Handle<'static>) -> R,
+    ) -> R {
+        let published = Published(&self.slot.0);
+        let out = op(self.entries[idx].handle());
+        drop(published);
+        self.note(idx, writes, ops);
+        out
+    }
+
+    /// Runs the write `op` against the backend handle of the shard owning
+    /// `key` under the seal protocol (never delegated).
+    fn with_shard<R>(&mut self, key: K, op: impl FnOnce(&mut B::Handle<'static>) -> R) -> R {
+        let idx = self.enter(key.rank64());
+        self.run(idx, 1, 1, op)
+    }
+
+    /// Single-key write op (`add` when `remove` is false, `remove`
+    /// otherwise): the guarded path, plus the flat-combining branch —
+    /// when the routed shard is flagged write-hot the op is enqueued into
+    /// this handle's combine slot for a combiner to apply through the
+    /// shard's batch path instead of CAS-racing the other writers
+    /// directly.
+    fn update(&mut self, key: K, remove: bool) -> bool {
+        match self.admit(key.rank64(), Some((key, remove))) {
+            Ok(idx) => self.run(idx, 1, 1, |h| apply(h, key, remove)),
+            Err(out) => out,
         }
     }
 
@@ -1734,12 +1593,11 @@ impl<'s, K: ShardKey, B: ElasticBackend<K>> CoreHandle<'s, K, B> {
     /// shard sealed before any combiner claimed the op — the op was
     /// retracted without taking effect and must re-route.
     fn delegate(&mut self, idx: usize, key: K, remove: bool) -> Option<bool> {
-        let shard_id = self.entries[idx].shard.id;
-        let tag = if remove { COMBINE_REMOVE } else { COMBINE_ADD };
-        let pending = (shard_id << COMBINE_TAG_BITS) | tag;
+        let pending = pending_word(self.entries[idx].shard.id, remove);
         // SAFETY: the slot word reads IDLE here — this handle is the
-        // only publisher, and every exit path below restores IDLE — so
-        // this handle owns the payload cell.
+        // only publisher, and every exit path below (unwinding out of
+        // `combine_drain` included) restores IDLE — so this handle owns
+        // the payload cell.
         unsafe { *self.cslot.cell.get() = Some(key) };
         self.cslot.word.0.store(pending, COMBINE_PUBLISH);
         loop {
@@ -1752,8 +1610,7 @@ impl<'s, K: ShardKey, B: ElasticBackend<K>> CoreHandle<'s, K, B> {
                     // on this slot — count it here, never in the
                     // combiner, so window shares stay truthful.
                     self.cslot.word.0.store(COMBINE_IDLE, Release);
-                    self.note_writes(idx, 1);
-                    self.note_ops(idx, 1);
+                    self.note(idx, 1, 1);
                     return Some(w == COMBINE_DONE_TRUE);
                 }
                 // A combiner owns the op; its result is imminent.
@@ -1793,7 +1650,9 @@ impl<'s, K: ShardKey, B: ElasticBackend<K>> CoreHandle<'s, K, B> {
     /// ops in one sorted pass over the cached backend handle. Returns
     /// `true` iff a drain pass ran — `false` means another thread holds
     /// the combiner lock or the shard sealed first, and the caller
-    /// should yield rather than spin on the lock.
+    /// should yield rather than spin on the lock. Every exit, unwinding
+    /// out of a panicking backend op included, runs through
+    /// [`DrainExit`].
     fn combine_drain(&mut self, idx: usize) -> bool {
         let shard = Arc::clone(&self.entries[idx].shard);
         if shard
@@ -1807,15 +1666,23 @@ impl<'s, K: ShardKey, B: ElasticBackend<K>> CoreHandle<'s, K, B> {
         // re-check the seal so a migration's drain waits for the whole
         // batch below, and no batch can start after the seal.
         self.slot.0.store(shard.id, SLOT_PUBLISH);
-        if shard.sealed.load(SeqCst) {
-            self.slot.0.store(SLOT_IDLE, Release);
-            shard.combiner.store(false, Release);
-            return false;
-        }
-        if self.peers.len() != self.core.combine.len.load(Relaxed) {
+        let sealed = shard.sealed.load(SeqCst);
+        if !sealed && self.peers.len() != self.core.combine.len.load(Relaxed) {
             self.peers = self.core.combine.snapshot();
         }
-        let mut claimed = std::mem::take(&mut self.drain_scratch);
+        let mut exit = DrainExit {
+            shard: &shard,
+            slot: &self.slot.0,
+            own: &self.cslot,
+            peers: &self.peers,
+            claimed: &mut self.drain_scratch,
+            applied: 0,
+            finished: false,
+        };
+        if sealed {
+            exit.finished = true;
+            return false;
+        }
         for (i, s) in self.peers.iter().enumerate() {
             let w = s.word.0.load(Relaxed);
             let tag = w & COMBINE_TAG_MASK;
@@ -1839,16 +1706,15 @@ impl<'s, K: ShardKey, B: ElasticBackend<K>> CoreHandle<'s, K, B> {
             // done publish; no other thread touches the cell while the
             // word reads CLAIMED.
             let key = unsafe { *s.cell.get() }.expect("claimed combine slot holds a key");
-            claimed.push((i, key, tag == COMBINE_REMOVE));
+            exit.claimed.push((i, key, tag == COMBINE_REMOVE));
         }
         // Ascending key order: the whole batch applies in one amortized
         // traversal direction, mirroring the `add_batch` sorted-run
         // discipline that makes delegation cheaper than CAS-racing.
-        claimed.sort_unstable_by_key(|&(_, key, _)| key);
-        let n = claimed.len() as u64;
+        exit.claimed.sort_unstable_by_key(|&(_, key, _)| key);
         let h = self.entries[idx].handle();
-        for &(i, key, remove) in &claimed {
-            let out = B::apply_delegated(h, key, remove);
+        while let Some(&(i, key, remove)) = exit.claimed.get(exit.applied) {
+            let out = apply(h, key, remove);
             self.peers[i].word.0.store(
                 if out {
                     COMBINE_DONE_TRUE
@@ -1857,14 +1723,12 @@ impl<'s, K: ShardKey, B: ElasticBackend<K>> CoreHandle<'s, K, B> {
                 },
                 COMBINER_HANDOFF,
             );
+            exit.applied += 1;
         }
-        if n > 0 {
-            self.core.combined.fetch_add(n, Relaxed);
+        if exit.applied > 0 {
+            self.core.combined.fetch_add(exit.applied as u64, Relaxed);
         }
-        claimed.clear();
-        self.drain_scratch = claimed;
-        self.slot.0.store(SLOT_IDLE, Release);
-        shard.combiner.store(false, Release);
+        exit.finished = true;
         true
     }
 
@@ -1887,16 +1751,11 @@ impl<'s, K: ShardKey, B: ElasticBackend<K>> CoreHandle<'s, K, B> {
     ///   pre-publish instant lies inside its invocation window — a valid
     ///   linearization point. Writers cannot race it onto the old
     ///   backend: they all go through the seal check.
-    fn with_shard_read<R>(
-        &mut self,
-        key: K,
-        mut op: impl FnMut(&mut B::Handle<'static>) -> R,
-    ) -> R {
-        let rank = key.rank64();
+    fn with_shard_read<R>(&mut self, key: K, op: impl FnOnce(&mut B::Handle<'static>) -> R) -> R {
         self.maybe_refresh();
-        let idx = self.route(rank);
+        let idx = self.route(key.rank64());
         let out = op(self.entries[idx].handle());
-        self.note_ops(idx, 1);
+        self.note(idx, 0, 1);
         out
     }
 
@@ -1912,29 +1771,14 @@ impl<'s, K: ShardKey, B: ElasticBackend<K>> CoreHandle<'s, K, B> {
         let mut n = 0;
         let mut i = 0;
         while i < keys.len() {
-            let rank = keys[i].rank64();
-            self.maybe_refresh();
-            let idx = self.route(rank);
-            self.slot.0.store(self.entries[idx].shard.id, SLOT_PUBLISH);
-            if self.entries[idx].shard.sealed.load(SeqCst) {
-                self.slot.0.store(SLOT_IDLE, Release);
-                Self::stall(
-                    self.core,
-                    Arc::as_ptr(&self.table),
-                    &self.entries[idx].shard,
-                );
-                continue;
-            }
+            let idx = self.enter(keys[i].rank64());
             let j = match self.entries.get(idx + 1).map(|e| e.shard.lo) {
                 Some(hi) => i + keys[i..].partition_point(|k| k.rank64() < hi),
                 None => keys.len(),
             };
-            n += op(self.entries[idx].handle(), &mut keys[i..j]);
-            self.slot.0.store(SLOT_IDLE, Release);
             let run = (j - i) as u32;
+            n += self.run(idx, run, run, |h| op(h, &mut keys[i..j]));
             i = j;
-            self.note_writes(idx, run);
-            self.note_ops(idx, run);
         }
         n
     }
@@ -1944,44 +1788,29 @@ impl<'s, K: ShardKey, B: ElasticBackend<K>> CoreHandle<'s, K, B> {
     /// last emitted key whenever a migration forces a re-route, so the
     /// output is sorted and duplicate-free even if the partition changes
     /// mid-scan.
-    fn scan(&mut self, bounds: &ScanBounds<K>) -> Vec<B::Item> {
-        let mut out: Vec<B::Item> = Vec::new();
+    fn scan(&mut self, bounds: &ScanBounds<K>) -> Vec<K> {
+        let mut out: Vec<K> = Vec::new();
         let mut cursor: u64 = bounds.seek_key().map_or(0, |k| k.rank64());
-        let mut last: Option<K> = None;
         loop {
-            self.maybe_refresh();
-            let idx = self.route(cursor);
-            // End-of-window against this interval, with the boundary
-            // semantics of the static router: an exclusive end lying
-            // exactly on the interval's lower bound owns nothing here.
+            // End-of-window against the interval owning the cursor, with
+            // the boundary semantics of the static router: an exclusive
+            // end lying exactly on the interval's lower bound owns
+            // nothing here.
             if let Some(end) = bounds.end_key() {
+                self.maybe_refresh();
+                let idx = self.route(cursor);
+                let lo = self.bounds[idx];
                 let er = end.rank64();
-                let lo = self.entries[idx].shard.lo;
                 if lo > er || (lo == er && bounds.end_excluded() && K::RANK_INJECTIVE) {
                     break;
                 }
             }
-            self.slot.0.store(self.entries[idx].shard.id, SLOT_PUBLISH);
-            if self.entries[idx].shard.sealed.load(SeqCst) {
-                self.slot.0.store(SLOT_IDLE, Release);
-                Self::stall(
-                    self.core,
-                    Arc::as_ptr(&self.table),
-                    &self.entries[idx].shard,
-                );
-                continue;
-            }
-            let leg = match last {
-                Some(l) => bounds.resume_after(l),
+            let idx = self.enter(cursor);
+            let leg = match out.last() {
+                Some(&l) => bounds.resume_after(l),
                 None => *bounds,
             };
-            let items = B::scan(self.entries[idx].handle(), &leg);
-            self.slot.0.store(SLOT_IDLE, Release);
-            self.note_ops(idx, 1);
-            if let Some(it) = items.last() {
-                last = Some(B::item_key(it));
-            }
-            out.extend(items);
+            out.extend(self.run(idx, 0, 1, |h| h.range(leg).into_vec()));
             match self.entries.get(idx + 1).map(|e| e.shard.lo) {
                 Some(next_lo) => cursor = next_lo,
                 None => break,
@@ -1990,15 +1819,14 @@ impl<'s, K: ShardKey, B: ElasticBackend<K>> CoreHandle<'s, K, B> {
         out
     }
 
-    /// Estimated live items across the snapshot (read-only; does not
-    /// take part in the seal protocol — estimates may lag a migration).
+    /// Estimated live keys across the snapshot (read-only; does not take
+    /// part in the seal protocol — estimates may lag a migration).
     fn len_estimate(&mut self) -> usize {
         self.maybe_refresh();
-        let mut n = 0;
-        for e in &mut self.entries {
-            n += B::len_estimate(e.handle());
-        }
-        n
+        self.entries
+            .iter_mut()
+            .map(|e| e.handle().len_estimate())
+            .sum()
     }
 
     /// Counters: carry from evicted handles plus the live caches.
@@ -2008,35 +1836,24 @@ impl<'s, K: ShardKey, B: ElasticBackend<K>> CoreHandle<'s, K, B> {
                 .entries
                 .iter()
                 .filter_map(|e| e.cached.as_ref())
-                .map(|h| B::stats(h))
+                .map(|h| h.stats())
                 .sum::<OpStats>()
     }
 
-    /// Drains all counters (only meaningful when
-    /// [`ElasticBackend::drain_stats`] resets, i.e. for set backends).
+    /// Drains all counters: the carry and every live cache.
     fn take_stats(&mut self) -> OpStats {
-        let mut total = std::mem::take(&mut self.carry);
-        for e in &mut self.entries {
-            if let Some(h) = &mut e.cached {
-                total += B::drain_stats(h);
-            }
-        }
-        total
+        let live = self.entries.iter_mut().filter_map(|e| e.cached.as_mut());
+        std::mem::take(&mut self.carry) + live.map(|h| h.take_stats()).sum::<OpStats>()
     }
 
-    /// Write-share accounting: marks `n` of the ops about to be noted
-    /// on `idx` as writes. Flushed alongside `local_ops` by
-    /// [`note_ops`](CoreHandle::note_ops), so call it first.
+    /// Load accounting + the amortized monitor hook: `ops` operations on
+    /// `idx`, `writes` of them writes (feeding the write-share
+    /// delegation decision).
     #[inline]
-    fn note_writes(&mut self, idx: usize, n: u32) {
-        self.entries[idx].local_writes += n;
-    }
-
-    /// Load accounting + the amortized monitor hook.
-    #[inline]
-    fn note_ops(&mut self, idx: usize, n: u32) {
+    fn note(&mut self, idx: usize, writes: u32, ops: u32) {
         let e = &mut self.entries[idx];
-        e.local_ops += n;
+        e.local_writes += writes;
+        e.local_ops += ops;
         if e.local_ops >= OPS_FLUSH_BLOCK {
             e.shard.ops.bump(e.local_ops as u64);
             e.local_ops = 0;
@@ -2045,7 +1862,7 @@ impl<'s, K: ShardKey, B: ElasticBackend<K>> CoreHandle<'s, K, B> {
                 e.local_writes = 0;
             }
         }
-        self.ops_since_check += n;
+        self.ops_since_check += ops;
         if self.ops_since_check >= self.core.policy.check_period {
             self.ops_since_check = 0;
             for e in &mut self.entries {
@@ -2069,16 +1886,16 @@ impl<'s, K: ShardKey, B: ElasticBackend<K>> CoreHandle<'s, K, B> {
     }
 }
 
-/// An ordered set or map over elastically re-partitioned backend shards.
+/// An ordered set over elastically re-partitioned backend shards.
 ///
 /// The elastic counterpart of [`ShardedSet`](crate::sharded::ShardedSet):
 /// same monotone range partition, same per-thread shard-handle caches,
 /// but the partition **adapts** — see the [module docs](self) for the
 /// router, migration protocol and load monitor. The backend `B` is named
-/// through one of the four presets: [`ElasticSet`], [`ElasticMorphSet`],
-/// [`ElasticCombineSet`] and [`ElasticMap`]. The three set presets
-/// implement [`ConcurrentOrderedSet`], so the whole benchmark harness
-/// runs on them unchanged.
+/// through one of the three set presets: [`ElasticSet`],
+/// [`ElasticMorphSet`] and [`ElasticCombineSet`]. Each implements
+/// [`ConcurrentOrderedSet`], so the whole benchmark harness runs on them
+/// unchanged; [`ElasticMap`] wraps an [`ElasticSet`] of map entries.
 ///
 /// `COMBINE` marks the [`ElasticCombineSet`] preset: its name and the
 /// [`LoadPolicy::combining`] default of [`new`](Elastic::new). It is a
@@ -2088,7 +1905,12 @@ pub struct Elastic<K, B, const COMBINE: bool = false> {
     core: ElasticCore<K, B>,
 }
 
-impl<K: ShardKey, B: ElasticBackend<K>, const COMBINE: bool> Elastic<K, B, COMBINE> {
+impl<K, B, const COMBINE: bool> Elastic<K, B, COMBINE>
+where
+    K: ShardKey,
+    B: ElasticBackend<K>,
+    for<'a> B::Handle<'a>: OrderedHandle<K>,
+{
     /// Creates an empty structure under the preset's default policy:
     /// [`LoadPolicy::combining`] for [`ElasticCombineSet`],
     /// [`LoadPolicy::default`] for the others.
@@ -2142,13 +1964,13 @@ impl<K: ShardKey, B: ElasticBackend<K>, const COMBINE: bool> Elastic<K, B, COMBI
     /// Deterministically splits the shard owning `key` (test and
     /// operational support). `true` iff a split committed.
     pub fn force_split_at(&self, key: K) -> bool {
-        self.core.migrate_at(key, ElasticCore::split_locked)
+        self.core.migrate_at(key, Plan::Split)
     }
 
     /// Deterministically merges the shard owning `key` with its right
     /// neighbour. `true` iff a merge committed.
     pub fn force_merge_at(&self, key: K) -> bool {
-        self.core.migrate_at(key, ElasticCore::merge_locked)
+        self.core.migrate_at(key, Plan::Merge)
     }
 
     /// The intervals' lower rank bounds, ascending (diagnostics).
@@ -2164,39 +1986,15 @@ impl<K: ShardKey, B: ElasticBackend<K>, const COMBINE: bool> Elastic<K, B, COMBI
         self.core.tables_alive()
     }
 
-    /// Live items per shard, in key order (quiescent).
+    /// Live keys per shard, in key order (quiescent).
     pub fn shard_sizes(&mut self) -> Vec<usize> {
         self.core
             .shards_mut()
             .into_iter()
-            .map(|shard| shard.backend.collect_items().len())
+            .map(|shard| shard.backend.collect_keys().len())
             .collect()
     }
 
-    /// Quiescent snapshot of all items in key order: keys for the sets,
-    /// `(key, value)` pairs for the map.
-    pub fn collect(&mut self) -> Vec<B::Item> {
-        self.core.collect_items()
-    }
-
-    /// Quiescent structural check (router + shard backends + routing).
-    pub fn check_invariants(&mut self) -> Result<(), InvariantViolation> {
-        self.core.check()
-    }
-}
-
-impl<K: ShardKey, B: ElasticBackend<K>, const COMBINE: bool> Default for Elastic<K, B, COMBINE> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<K, B, const COMBINE: bool> Elastic<K, B, COMBINE>
-where
-    K: ShardKey,
-    B: ElasticBackend<K, Item = K>,
-    for<'a> B::Handle<'a>: OrderedHandle<K>,
-{
     /// Pins every current and future shard's flat-combining flag to
     /// `on` and suspends the monitor's delegation sweep while pinned
     /// (deterministic tests and diagnostics — the combine protocol
@@ -2222,10 +2020,21 @@ where
     }
 }
 
+impl<K, B, const COMBINE: bool> Default for Elastic<K, B, COMBINE>
+where
+    K: ShardKey,
+    B: ElasticBackend<K>,
+    for<'a> B::Handle<'a>: OrderedHandle<K>,
+{
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl<K, B, const COMBINE: bool> ConcurrentOrderedSet<K> for Elastic<K, B, COMBINE>
 where
     K: ShardKey,
-    B: ElasticBackend<K, Item = K>,
+    B: ElasticBackend<K>,
     for<'a> B::Handle<'a>: OrderedHandle<K>,
 {
     type Handle<'a>
@@ -2245,11 +2054,11 @@ where
 
     fn collect_keys(&mut self) -> Vec<K> {
         // Shard order is key order; concatenation is sorted.
-        self.collect()
+        self.core.collect_keys()
     }
 
     fn check_invariants(&mut self) -> Result<(), InvariantViolation> {
-        Elastic::check_invariants(self)
+        self.core.check()
     }
 }
 
@@ -2268,9 +2077,7 @@ where
     /// (test and operational support). `true` iff the shard was running
     /// a different arm.
     pub fn force_morph_at(&self, key: K, kind: MorphKind) -> bool {
-        self.core.migrate_at(key, |core, writer, idx| {
-            core.morph_locked(writer, idx, kind)
-        })
+        self.core.migrate_at(key, Plan::Morph(kind))
     }
 
     /// `(arm, live keys)` per shard, in key order (quiescent).
@@ -2278,7 +2085,7 @@ where
         self.core
             .shards_mut()
             .into_iter()
-            .map(|shard| (shard.backend.kind(), shard.backend.collect_items().len()))
+            .map(|shard| (shard.backend.kind(), shard.backend.collect_keys().len()))
             .collect()
     }
 }
@@ -2288,7 +2095,12 @@ pub struct ElasticHandle<'s, K: ShardKey, B: ElasticBackend<K>> {
     inner: CoreHandle<'s, K, B>,
 }
 
-impl<K: ShardKey, B: ElasticBackend<K>> ElasticHandle<'_, K, B> {
+impl<K, B> ElasticHandle<'_, K, B>
+where
+    K: ShardKey,
+    B: ElasticBackend<K>,
+    for<'a> B::Handle<'a>: OrderedHandle<K>,
+{
     /// Number of backend handles this thread has actually created.
     pub fn cached_handles(&self) -> usize {
         self.inner.cached_handles()
@@ -2298,7 +2110,7 @@ impl<K: ShardKey, B: ElasticBackend<K>> ElasticHandle<'_, K, B> {
 impl<K, B> SetHandle<K> for ElasticHandle<'_, K, B>
 where
     K: ShardKey,
-    B: ElasticBackend<K, Item = K>,
+    B: ElasticBackend<K>,
     for<'a> B::Handle<'a>: OrderedHandle<K>,
 {
     fn add(&mut self, key: K) -> bool {
@@ -2333,7 +2145,7 @@ where
 impl<K, B> OrderedHandle<K> for ElasticHandle<'_, K, B>
 where
     K: ShardKey,
-    B: ElasticBackend<K, Item = K>,
+    B: ElasticBackend<K>,
     for<'a> B::Handle<'a>: OrderedHandle<K>,
 {
     fn range<R: RangeBounds<K>>(&mut self, range: R) -> Snapshot<K> {
@@ -2345,54 +2157,10 @@ where
     }
 }
 
-impl<K: ShardKey, V: Copy + Send + Sync + 'static> ElasticHandle<'_, K, ListMap<K, V>> {
-    /// Inserts `key → value`; `true` iff the key was absent.
-    pub fn insert(&mut self, key: K, value: V) -> bool {
-        self.inner.with_shard(key, |h| h.insert(key, value))
-    }
-
-    /// Removes `key`; returns its value iff this thread won the delete.
-    pub fn remove(&mut self, key: K) -> Option<V> {
-        self.inner.with_shard(key, |h| h.remove(key))
-    }
-
-    /// Wait-free lookup (may stall briefly behind a migration of the
-    /// key's shard).
-    pub fn get(&mut self, key: K) -> Option<V> {
-        self.inner.with_shard_read(key, |h| h.get(key))
-    }
-
-    /// `true` iff `key` is present.
-    pub fn contains_key(&mut self, key: K) -> bool {
-        self.get(key).is_some()
-    }
-
-    /// Scans live `(key, value)` pairs with keys inside `range`,
-    /// ascending, stitched across migrations.
-    pub fn range<R: RangeBounds<K>>(&mut self, range: R) -> Snapshot<(K, V)> {
-        Snapshot::from_vec(self.inner.scan(&ScanBounds::from_range(&range)))
-    }
-
-    /// Scans all live `(key, value)` pairs in ascending key order.
-    pub fn iter(&mut self) -> Snapshot<(K, V)> {
-        self.range(..)
-    }
-
-    /// Estimated number of live entries.
-    pub fn len_estimate(&mut self) -> usize {
-        self.inner.len_estimate()
-    }
-
-    /// Aggregated counters (evicted caches included).
-    pub fn stats(&self) -> OpStats {
-        self.inner.live_stats()
-    }
-}
-
 /// An elastic set over any ordered-set backend `B`: every shard runs
 /// `B`. Its registry name derives from `B`'s (see [`elastic_name`]);
 /// built under [`LoadPolicy::default`].
-pub type ElasticSet<K, B> = Elastic<K, SetBackend<K, B>>;
+pub type ElasticSet<K, B> = Elastic<K, SetBackend<B>>;
 
 /// An elastic set whose shards **morph** between backend types as they
 /// migrate: [`ElasticSet`]'s router and migration protocol, but each
@@ -2455,10 +2223,17 @@ pub type ElasticMorphSet<K, S> = Elastic<K, MorphBackend<K, S>>;
 /// ```
 pub type ElasticCombineSet<K, S> = Elastic<K, MorphBackend<K, S>, true>;
 
-/// An ordered key→value map over elastically re-partitioned
-/// [`ListMap`] shards: the value-carrying counterpart of [`ElasticSet`],
-/// mirroring [`ShardedMap`](crate::sharded::ShardedMap)'s API. Built
-/// under [`LoadPolicy::default`]; maps never delegate writes.
+/// The shard backend of an [`ElasticMap`]: variant-d lists of
+/// key-ordered map entries.
+type EntryBackend<K, V> = SetBackend<SinglyCursorList<MapEntry<K, V>>>;
+
+/// An ordered key→value map over elastically re-partitioned shards: an
+/// [`ElasticSet`] of key-ordered map entries on the paper's variant d)
+/// list, so the value rides in the key's node (as in
+/// [`ListMap`](crate::map::ListMap) and
+/// [`ShardedMap`](crate::sharded::ShardedMap), whose API it mirrors).
+/// Every insert, lookup, delete, scan and migration is the set's code.
+/// Built under [`LoadPolicy::default`].
 ///
 /// # Examples
 ///
@@ -2478,12 +2253,133 @@ pub type ElasticCombineSet<K, S> = Elastic<K, MorphBackend<K, S>, true>;
 /// assert_eq!(h.remove(12), Some(12));
 /// assert_eq!(h.range(-10..=50).into_vec(), vec![(-7, 7), (30, 30)]);
 /// ```
-pub type ElasticMap<K, V> = Elastic<K, ListMap<K, V>>;
+pub struct ElasticMap<K: ShardKey, V: Copy + Send + Sync + 'static> {
+    set: Elastic<MapEntry<K, V>, EntryBackend<K, V>>,
+}
+
+impl<K: ShardKey, V: Copy + Send + Sync + 'static> Default for ElasticMap<K, V> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<K: ShardKey, V: Copy + Send + Sync + 'static> ElasticMap<K, V> {
+    /// Creates an empty map under [`LoadPolicy::default`].
+    pub fn new() -> Self {
+        ElasticMap {
+            set: Elastic::new(),
+        }
+    }
+
+    /// Creates an empty map governed by `policy`.
+    pub fn with_policy(policy: LoadPolicy) -> Self {
+        ElasticMap {
+            set: Elastic::with_policy(policy),
+        }
+    }
+
+    /// Per-thread handle.
+    pub fn handle(&self) -> ElasticMapHandle<'_, K, V> {
+        ElasticMapHandle {
+            inner: self.set.core.handle(),
+        }
+    }
+
+    /// The thresholds this map rebalances under.
+    pub fn policy(&self) -> LoadPolicy {
+        self.set.policy()
+    }
+
+    /// Committed splits so far.
+    pub fn splits(&self) -> u64 {
+        self.set.splits()
+    }
+
+    /// Deterministically splits the shard owning `key`. `true` iff a
+    /// split committed.
+    pub fn force_split_at(&self, key: K) -> bool {
+        self.set.force_split_at(MapEntry::probe(key))
+    }
+
+    /// Deterministically merges the shard owning `key` with its right
+    /// neighbour. `true` iff a merge committed.
+    pub fn force_merge_at(&self, key: K) -> bool {
+        self.set.force_merge_at(MapEntry::probe(key))
+    }
+
+    /// Quiescent snapshot of all `(key, value)` pairs in key order.
+    pub fn collect(&mut self) -> Vec<(K, V)> {
+        let entries = self.set.collect_keys();
+        entries.into_iter().map(MapEntry::pair).collect()
+    }
+
+    /// Quiescent structural check (router + shard lists + routing).
+    pub fn check_invariants(&mut self) -> Result<(), InvariantViolation> {
+        self.set.check_invariants()
+    }
+}
+
+/// Per-thread handle over an [`ElasticMap`].
+pub struct ElasticMapHandle<'m, K: ShardKey, V: Copy + Send + Sync + 'static> {
+    inner: CoreHandle<'m, MapEntry<K, V>, EntryBackend<K, V>>,
+}
+
+impl<K: ShardKey, V: Copy + Send + Sync + 'static> ElasticMapHandle<'_, K, V> {
+    /// Inserts `key → value`; `true` iff the key was absent (no
+    /// overwrite — [`ListMap`](crate::map::ListMap)'s contract).
+    pub fn insert(&mut self, key: K, value: V) -> bool {
+        self.inner.update(MapEntry::new(key, value), false)
+    }
+
+    /// Removes `key`; returns its value iff this thread won the delete.
+    pub fn remove(&mut self, key: K) -> Option<V> {
+        let probe = MapEntry::probe(key);
+        self.inner
+            .with_shard(probe, |h| h.remove_impl(probe))?
+            .value
+    }
+
+    /// Wait-free lookup (read path: no seal handshake).
+    pub fn get(&mut self, key: K) -> Option<V> {
+        let probe = MapEntry::probe(key);
+        self.inner
+            .with_shard_read(probe, |h| h.find_impl(probe))?
+            .value
+    }
+
+    /// `true` iff `key` is present.
+    pub fn contains_key(&mut self, key: K) -> bool {
+        self.get(key).is_some()
+    }
+
+    /// Scans live `(key, value)` pairs with keys inside `range`,
+    /// ascending, stitched across migrations.
+    pub fn range<R: RangeBounds<K>>(&mut self, range: R) -> Snapshot<(K, V)> {
+        let bounds = ScanBounds::from_range(&MapEntry::probe_range(&range));
+        pairs(Snapshot::from_vec(self.inner.scan(&bounds)))
+    }
+
+    /// Scans all live `(key, value)` pairs in ascending key order.
+    pub fn iter(&mut self) -> Snapshot<(K, V)> {
+        self.range(..)
+    }
+
+    /// Estimated number of live entries.
+    pub fn len_estimate(&mut self) -> usize {
+        self.inner.len_estimate()
+    }
+
+    /// Aggregated counters (evicted caches included).
+    pub fn stats(&self) -> OpStats {
+        self.inner.live_stats()
+    }
+}
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::variants::{SinglyCursorList, SinglyHintedList};
+    use crate::map::ListMap;
+    use crate::variants::SinglyHintedList;
 
     /// A tiny-threshold policy so unit tests migrate eagerly and
     /// deterministically (pure op counting — no clocks).
@@ -2975,7 +2871,7 @@ mod tests {
                 assert_eq!(map.force_merge_at(k), set.force_merge_at(k), "merge {i}");
             }
         }
-        assert_eq!((map.splits(), map.merges()), (set.splits(), set.merges()));
+        assert_eq!(map.splits(), set.splits());
         assert_eq!(hm.stats(), hs.stats());
         // Pinned at the commit that introduced this test.
         let s = hs.stats();
@@ -3319,6 +3215,101 @@ mod tests {
             "no delegated op lost or duplicated across migrations"
         );
         set.check_invariants().unwrap();
+    }
+
+    /// A key whose comparisons panic on [`POISON`], so a backend op on it
+    /// unwinds from inside the list, i.e. from inside a combiner's drain.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    struct Poisonable(i64);
+
+    const POISON: Poisonable = Poisonable(7);
+
+    impl Ord for Poisonable {
+        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+            assert!(*self != POISON && *other != POISON, "poisoned key");
+            self.0.cmp(&other.0)
+        }
+    }
+
+    impl PartialOrd for Poisonable {
+        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+
+    impl crate::Key for Poisonable {
+        const NEG_INF: Self = Poisonable(i64::MIN);
+        const POS_INF: Self = Poisonable(i64::MAX);
+    }
+
+    impl ShardKey for Poisonable {
+        const RANK_INJECTIVE: bool = true;
+        fn rank64(self) -> u64 {
+            self.0.rank64()
+        }
+    }
+
+    /// Runs `f` on a fresh thread and waits at most 20 s for its result,
+    /// so a lost wake-up fails the test instead of hanging it (the stuck
+    /// thread is left behind; only a failing run has one).
+    fn bounded<R: Send + 'static>(what: &str, f: impl FnOnce() -> R + Send + 'static) -> R {
+        use std::sync::mpsc::RecvTimeoutError;
+        let (tx, rx) = std::sync::mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            let _ = tx.send(f());
+        });
+        match rx.recv_timeout(std::time::Duration::from_secs(20)) {
+            Ok(out) => {
+                worker
+                    .join()
+                    .expect("the worker returns right after sending");
+                out
+            }
+            Err(RecvTimeoutError::Disconnected) => {
+                std::panic::resume_unwind(worker.join().expect_err("the worker panicked"))
+            }
+            Err(RecvTimeoutError::Timeout) => panic!("{what} did not return within 20 s"),
+        }
+    }
+
+    /// A combiner whose backend op panics mid-drain must leave the shard
+    /// live: the combiner lock released, its activity slot cleared and
+    /// its own combine slot idle, so other writers, later migrations and
+    /// the panicking handle itself all make progress. A direct write that
+    /// panics must clear its activity slot too, although its handle lives
+    /// on.
+    #[test]
+    fn combiner_panic_leaves_the_shard_live() {
+        let set: &'static ElasticSet<Poisonable, SinglyCursorList<Poisonable>> =
+            Box::leak(Box::new(ElasticSet::with_policy(LoadPolicy {
+                initial_shards: 1,
+                min_split_keys: 2,
+                ..LoadPolicy::default()
+            })));
+        set.pin_combining(true);
+        let mut h = set.handle();
+        for k in [1, 2, 3, 4] {
+            assert!(h.add(Poisonable(k)));
+        }
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| h.add(POISON)));
+        assert!(unwound.is_err(), "the poisoned op must panic");
+        assert!(bounded("another handle's add", move || {
+            set.handle().add(Poisonable(8))
+        }));
+        assert!(bounded("a split of the shard", move || {
+            set.force_split_at(Poisonable(3))
+        }));
+        // The handle that panicked keeps working.
+        assert!(h.add(Poisonable(9)));
+        assert!(h.remove(Poisonable(1)));
+        assert!(set.combined() > 0, "the writes above ran delegated");
+        set.pin_combining(false);
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| h.add(POISON)));
+        assert!(unwound.is_err(), "the poisoned direct op must panic");
+        assert!(bounded("a merge after a direct panic", move || {
+            set.force_merge_at(Poisonable(2))
+        }));
+        assert!(h.add(Poisonable(10)));
     }
 
     mod leaks {

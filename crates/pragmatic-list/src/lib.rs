@@ -71,10 +71,12 @@
 //! load-aware resharding on top of the same monotone partition. One
 //! type, [`elastic::Elastic`], watches per-shard load online and splits
 //! hot shards (merging cold ones) while concurrent operations run, under
-//! an injectable [`LoadPolicy`]. Four preset aliases name its shard
+//! an injectable [`LoadPolicy`]. Three preset aliases name its shard
 //! backend: [`ElasticSet`] (any ordered set), [`ElasticMorphSet`] and
 //! [`ElasticCombineSet`] (per-shard morphing, the latter with
-//! flat-combining delegation) and [`ElasticMap`] (key→value).
+//! flat-combining delegation). [`ElasticMap`] (key→value) is an
+//! [`ElasticSet`] of the same variant d) entry lists, as with
+//! [`ShardedMap`].
 //!
 //! ## Memory reclamation
 //!

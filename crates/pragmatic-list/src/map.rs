@@ -141,7 +141,7 @@ pub(crate) fn pairs<K: Key, V>(entries: Snapshot<MapEntry<K, V>>) -> Snapshot<(K
 /// assert_eq!(map.collect(), vec![(1, 100), (2, 200), (3, 300), (4, 400)]);
 /// ```
 pub struct ListMap<K: Key, V: Copy + Send + Sync + 'static> {
-    pub(crate) list: SinglyCursorList<MapEntry<K, V>>,
+    list: SinglyCursorList<MapEntry<K, V>>,
 }
 
 impl<K: Key, V: Copy + Send + Sync + 'static> Default for ListMap<K, V> {
@@ -179,7 +179,7 @@ impl<K: Key, V: Copy + Send + Sync + 'static> ListMap<K, V> {
 /// Per-thread handle over a [`ListMap`]: the list's handle (cursor,
 /// counters, allocation log).
 pub struct MapHandle<'m, K: Key, V: Copy + Send + Sync + 'static> {
-    pub(crate) entries: SinglyHandle<'m, MapEntry<K, V>, true, true, false>,
+    entries: SinglyHandle<'m, MapEntry<K, V>, true, true, false>,
 }
 
 impl<'m, K: Key, V: Copy + Send + Sync + 'static> MapHandle<'m, K, V> {
