@@ -75,7 +75,7 @@ impl OpMix {
 
     /// The delegation stress mix: 40% add, 40% rem, 20% con — the
     /// write-share that drives a clustered hotspot past the elastic
-    /// router's combining threshold (`LoadPolicy::combine_write_pct`).
+    /// router's write-hot threshold (`LoadPolicy::combine_write_pct`).
     pub const WRITE_HEAVY: OpMix = OpMix {
         add: 40,
         remove: 40,

@@ -100,9 +100,9 @@ pub enum Variant {
     /// skiplist per shard, chosen by `LoadPolicy` from the shard's
     /// population.
     ElasticMorph,
-    /// Elastic extension: the morphing elastic set with flat-combining
-    /// delegation enabled — write-hot shards funnel ops through one
-    /// combiner draining the sorted batch path instead of splitting.
+    /// Elastic extension: the morphing elastic set that never splits a
+    /// write-hot shard (`LoadPolicy::combining`); its writes run
+    /// directly, like every other write.
     ElasticCombine,
 }
 

@@ -717,10 +717,10 @@ fn run_experiment(exp: Experiment, opt: &Options) {
 
 /// The `zipf` experiment's write-heavy delegation pass: the same
 /// clustered θ but mix 40/40/20 over a hot range narrow enough that
-/// splitting cannot dilute it — the contention case flat-combining
-/// delegation exists for. Runs the morphing elastic pair head-to-head
-/// (`elastic_morph` splits; `elastic_combine` delegates instead) and
-/// appends its rows to the same `BENCH_zipf.json`.
+/// splitting cannot dilute it — the case the write-hot no-split rule
+/// exists for. Runs the morphing elastic pair head-to-head
+/// (`elastic_morph` splits; `elastic_combine` keeps the write-hot shard
+/// whole) and appends its rows to the same `BENCH_zipf.json`.
 fn run_delegation_pass(
     variants: &[Variant],
     base: bench_harness::ZipfianMixConfig,
@@ -730,7 +730,8 @@ fn run_delegation_pass(
     // The pass needs shard populations large enough that a migration is
     // a real rebuild: under the write-hot cluster the splitter oscillates
     // (split the hot shard, merge a cold pair, repeat — one bulk copy per
-    // load window), which is exactly the churn delegation suppresses.
+    // load window), which is exactly the churn the no-split rule
+    // suppresses.
     // Scale the key range with the op budget (container scale: 320 k ops
     // → U = 2 M, half-full) so `--ops`-reduced smoke runs stay fast, and
     // cap it so `--threads`/`--ops` overrides cannot exhaust memory.

@@ -158,7 +158,8 @@ impl<K: Key, const MILD: bool> SkipList<K, MILD> {
         let budget = self.registry.len() + 2;
         // SAFETY: exclusive access.
         unsafe {
-            // Collect the bottom-level node set for the subset check.
+            // Collect the bottom-level chain (sorted once level 0 passes
+            // below) for the subset check.
             let mut bottom: Vec<*mut SkipNode<K>> = Vec::new();
             let mut curr = (&(*self.head).levels)[0].load(Acquire).ptr();
             let mut steps = 0;
@@ -174,6 +175,11 @@ impl<K: Key, const MILD: bool> SkipList<K, MILD> {
                 let mut prev_key = K::NEG_INF;
                 let mut curr = (&(*self.head).levels)[level].load(Acquire).ptr();
                 let mut pos = 0usize;
+                // Merge-walk cursor into `bottom`. Level 0 is checked
+                // first, so by now `bottom` is strictly sorted, and this
+                // level's keys strictly increase too: the cursor only
+                // moves forward, and the check is linear per level.
+                let mut below = 0usize;
                 while curr != self.tail {
                     if pos > budget {
                         return Err(InvariantViolation::TailUnreachable);
@@ -182,13 +188,19 @@ impl<K: Key, const MILD: bool> SkipList<K, MILD> {
                     if k <= prev_key || k >= K::POS_INF {
                         return Err(InvariantViolation::OutOfOrder { position: pos });
                     }
-                    if level > 0 && !bottom.contains(&curr) {
-                        // A node present above but unreachable at the
-                        // bottom violates the tower-subset invariant
-                        // (tolerating bottom-marked leftovers would need
-                        // the mark check; quiescent lists post-search
-                        // should not have them reachable above).
-                        return Err(InvariantViolation::OutOfOrder { position: pos });
+                    if level > 0 {
+                        while below < bottom.len() && (*bottom[below]).key < k {
+                            below += 1;
+                        }
+                        if bottom.get(below) != Some(&curr) {
+                            // A node present above but unreachable at the
+                            // bottom violates the tower-subset invariant
+                            // (tolerating bottom-marked leftovers would
+                            // need the mark check; quiescent lists
+                            // post-search should not have them reachable
+                            // above).
+                            return Err(InvariantViolation::OutOfOrder { position: pos });
+                        }
                     }
                     prev_key = k;
                     curr = (&(*curr).levels)[level].load(Acquire).ptr();
@@ -676,6 +688,50 @@ mod tests {
         }
         assert_eq!(s.to_vec(), vec![20, 30, 40, 60, 70, 80, 90]);
         s.validate().unwrap();
+    }
+
+    #[test]
+    fn validate_catches_an_upper_level_node_missing_below() {
+        let mut s = SkipListSet::<i64>::new();
+        {
+            let mut h = s.handle();
+            for k in 1..=64 {
+                assert!(h.add(k));
+            }
+        }
+        s.validate().unwrap();
+        // SAFETY: exclusive access; unlinked nodes stay registered and
+        // are freed when the list drops.
+        unsafe {
+            // Splice the first node of level 1 out of level 0 only.
+            let victim = (&(*s.head).levels)[1].load(Acquire).ptr();
+            assert!(victim != s.tail, "64 keys leave some tower above level 0");
+            let mut pred = s.head;
+            while (&(*pred).levels)[0].load(Acquire).ptr() != victim {
+                pred = (&(*pred).levels)[0].load(Acquire).ptr();
+            }
+            let succ = (&(*victim).levels)[0].load(Acquire);
+            (&(*pred).levels)[0].store(succ, Relaxed);
+        }
+        assert_eq!(
+            s.validate(),
+            Err(InvariantViolation::OutOfOrder { position: 0 })
+        );
+    }
+
+    #[test]
+    fn validate_is_linear_on_a_million_keys() {
+        let mut s = SkipListSet::<i64>::new();
+        let mut keys: Vec<i64> = (0..1_000_000).collect();
+        assert_eq!(s.handle().add_batch(&mut keys), keys.len());
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(s.validate());
+        });
+        let validated = rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("validating 1M keys must finish within 10 s");
+        validated.unwrap();
     }
 
     #[test]

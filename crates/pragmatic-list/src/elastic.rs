@@ -16,7 +16,8 @@
 //! aliases, each fixing the backend, its registry name and the policy
 //! `new()` builds under: [`ElasticSet`] (any ordered set),
 //! [`ElasticMorphSet`] and [`ElasticCombineSet`] (morphing shards, the
-//! latter under [`LoadPolicy::combining`]). [`ElasticMap`] is an
+//! latter under [`LoadPolicy::combining`], which keeps write-hot shards
+//! unsplit). [`ElasticMap`] is an
 //! [`ElasticSet`] of key-ordered map entries on the variant d) list
 //! (the value rides in the key's node, as in
 //! [`ListMap`](crate::map::ListMap)), so the core serves ordered sets
@@ -97,7 +98,11 @@
 //! than [`LoadPolicy::split_share_pct`] of the window it is split
 //! (caller-amortized — the observing thread performs the migration); if
 //! the coldest adjacent pair fell below [`LoadPolicy::merge_share_pct`]
-//! it is merged. All thresholds are injectable, so tests drive
+//! it is merged. A shard whose window write share reached
+//! [`LoadPolicy::combine_write_pct`] is marked *write-hot* and is not
+//! split: its hot keys would move to a child just as hot, at the cost
+//! of a full seal/drain/copy. Its writes run directly, like every other
+//! write. All thresholds are injectable, so tests drive
 //! migrations deterministically — by op counts or by
 //! [`Elastic::force_split_at`] — with no timing dependence.
 //!
@@ -123,11 +128,7 @@
 //! assert_eq!(h.len_estimate(), 200);
 //! ```
 
-use crate::sync::{
-    AtomicBool, AtomicPtr, AtomicU64, Mutex, MutexGuard, COMBINER_HANDOFF, COMBINE_PUBLISH,
-    TABLE_PUBLISH,
-};
-use std::cell::UnsafeCell;
+use crate::sync::{AtomicBool, AtomicPtr, AtomicU64, Mutex, MutexGuard, TABLE_PUBLISH};
 use std::marker::PhantomData;
 use std::mem::ManuallyDrop;
 use std::ops::RangeBounds;
@@ -141,7 +142,6 @@ use crate::set::{ConcurrentOrderedSet, InvariantViolation, SetHandle};
 use crate::sharded::ShardKey;
 use crate::stats::{CachePadded, OpStats, WindowCounter};
 use crate::variants::{SinglyCursorList, SinglyHintedList, UnrolledArenaList};
-use crate::Key;
 
 /// Thresholds steering the elastic load monitor.
 ///
@@ -182,11 +182,11 @@ pub struct LoadPolicy {
     /// Ignored by single-backend sets.
     pub morph_skip_min: usize,
     /// Write share (percent of a shard's window that were `add`/`remove`
-    /// ops) at which the monitor marks the shard **write-hot** and
-    /// engages flat-combining delegation for it instead of splitting it
-    /// (splitting cannot help when the hot set sits inside one shard —
-    /// the contended head cache lines move to a child and stay
-    /// contended). `0` disables delegation entirely (the default; only
+    /// ops) at which the monitor marks the shard **write-hot** and stops
+    /// splitting it (splitting cannot help when the hot set sits inside
+    /// one shard: the hot keys move to a child that is just as hot, and
+    /// every split pays a full seal/drain/copy). Its writes still run
+    /// directly. `0` disables the rule (the default; only
     /// [`ElasticCombineSet`] opts in).
     pub combine_write_pct: u32,
 }
@@ -263,9 +263,9 @@ impl LoadPolicy {
         }
     }
 
-    /// The default delegation-enabled policy used by
-    /// [`ElasticCombineSet::new`]: delegation engages once 40% of a
-    /// shard's window were writes.
+    /// The default policy of [`ElasticCombineSet::new`]: a shard is
+    /// marked write-hot, and no longer split, once 40% of its window
+    /// were writes.
     pub fn combining() -> LoadPolicy {
         LoadPolicy {
             combine_write_pct: 40,
@@ -274,12 +274,12 @@ impl LoadPolicy {
     }
 
     /// Whether a shard that absorbed `writes` write ops out of `ops`
-    /// total in the closed window should run delegated (flat-combining),
-    /// given that it currently runs `current`. Mirrors the quarter-band
-    /// hysteresis of [`morph_kind_settled`](LoadPolicy::morph_kind_settled):
-    /// an engaged shard only disengages once its write share falls 25%
-    /// below the threshold, so a workload hovering at the boundary does
-    /// not flap the delegation flag every window.
+    /// total in the closed window is write-hot, given that it currently
+    /// is (`current`) or is not. Mirrors the quarter-band hysteresis of
+    /// [`morph_kind_settled`](LoadPolicy::morph_kind_settled): a marked
+    /// shard only loses the mark once its write share falls 25% below
+    /// the threshold, so a workload hovering at the boundary does not
+    /// flap the mark every window.
     pub fn combine_settled(&self, writes: u64, ops: u64, current: bool) -> bool {
         if self.combine_write_pct == 0 || ops == 0 {
             return false;
@@ -541,21 +541,15 @@ struct ShardState<K, B> {
     /// Set (and never cleared) when a migration decommissions this
     /// shard; cleared only on an aborted split.
     sealed: AtomicBool,
-    /// Set by the monitor when this shard is write-hot enough to run
-    /// flat-combining delegation ([`LoadPolicy::combine_write_pct`]);
-    /// read (`Relaxed`) by the write path to decide direct-vs-delegate.
-    /// Purely a routing hint — every combine-protocol invariant holds
-    /// whether or not the flag is stable.
-    combining: AtomicBool,
-    /// Combiner lock: `true` while one thread drains this shard's
-    /// pending combine slots. Try-acquired only — a loser keeps
-    /// spinning on its own slot instead of queueing.
-    combiner: AtomicBool,
+    /// Set by the monitor when this shard's window write share crossed
+    /// [`LoadPolicy::combine_write_pct`]; while set, the monitor does not
+    /// split the shard. Read and written only by the monitor, under the
+    /// writer lock.
+    write_hot: AtomicBool,
     /// Window op counter feeding the load monitor.
     ops: WindowCounter,
     /// Write ops within the same window (a subset of
-    /// [`ops`](ShardState::ops)), feeding the write-share delegation
-    /// decision.
+    /// [`ops`](ShardState::ops)), feeding the write-hot decision.
     writes: WindowCounter,
     backend: B,
     _keys: PhantomData<K>,
@@ -614,133 +608,6 @@ impl SlotRegistry {
     }
 }
 
-/// Bits of a combine-slot word reserved for the protocol tag; the rest
-/// carries the target shard id (`word = shard_id << COMBINE_TAG_BITS |
-/// tag`). Shard ids count migrations and never approach 2^61.
-const COMBINE_TAG_BITS: u32 = 3;
-/// Mask selecting the tag bits of a combine-slot word.
-const COMBINE_TAG_MASK: u64 = (1 << COMBINE_TAG_BITS) - 1;
-/// Slot is empty; the owning handle may write the payload cell.
-const COMBINE_IDLE: u64 = 0;
-/// A pending delegated `add` of the key in the payload cell.
-const COMBINE_ADD: u64 = 1;
-/// A pending delegated `remove` of the key in the payload cell.
-const COMBINE_REMOVE: u64 = 2;
-/// A combiner won the claim CAS and owns the payload cell until it
-/// publishes a done state.
-const COMBINE_CLAIMED: u64 = 3;
-/// The delegated op completed and returned `false`.
-const COMBINE_DONE_FALSE: u64 = 4;
-/// The delegated op completed and returned `true`.
-const COMBINE_DONE_TRUE: u64 = 5;
-
-/// One per-handle flat-combining mailbox slot: a cache-padded state
-/// word plus the pending op's key. The word is the only synchronization
-/// on the slot; the payload cell is plain memory whose ownership the
-/// word's transitions hand back and forth:
-///
-/// * waiter → combiner: the waiter writes the cell, then publishes
-///   `(shard_id << 3) | COMBINE_{ADD,REMOVE}` with [`COMBINE_PUBLISH`]
-///   (`Release`); a combiner claims the op by CASing that exact word to
-///   `CLAIMED` with `Acquire` success ordering, which makes the cell
-///   write visible to it.
-/// * combiner → waiter: the combiner applies the op and stores
-///   `COMBINE_DONE_{TRUE,FALSE}` with [`COMBINER_HANDOFF`] (`Release`);
-///   the waiter's `Acquire` spin load takes the result *and* every
-///   backend write the combiner performed, then restores `IDLE`.
-///
-/// A waiter whose still-unclaimed op lands on a sealed shard retracts
-/// it by CASing the pending word back to `IDLE` and re-routes; if the
-/// retraction CAS fails, a combiner claimed the op first and the waiter
-/// keeps spinning for its result.
-struct CombineSlot<K> {
-    word: CachePadded<AtomicU64>,
-    cell: UnsafeCell<Option<K>>,
-}
-
-// SAFETY: the payload cell is only touched by the slot's owning handle
-// while the word reads IDLE/DONE (single thread), or by the one
-// combiner that won the claim CAS while the word reads CLAIMED; the
-// publish/claim/handoff orderings documented on `CombineSlot` sequence
-// every ownership transfer, so no two threads access the cell
-// concurrently. `K: Send` suffices because keys are `Copy` values moved
-// through the cell, never aliased references.
-unsafe impl<K: Send> Send for CombineSlot<K> {}
-// SAFETY: as above — shared references to the slot only race on the
-// atomic word; cell access is exclusive by protocol state.
-unsafe impl<K: Send> Sync for CombineSlot<K> {}
-
-/// Registry of per-handle combine slots, mirroring [`SlotRegistry`]:
-/// orphaned slots are reused, a combiner snapshots the current slot
-/// vector under the mutex and scans without holding it.
-struct CombineRegistry<K> {
-    slots: Mutex<Vec<Arc<CombineSlot<K>>>>,
-    /// Lock-free mirror of `slots.len()`, read by combiners to decide
-    /// whether their cached snapshot is stale. Deliberately a plain
-    /// `std` atomic outside the [`crate::sync`] facade: staleness is
-    /// harmless — a combiner that misses a freshly registered slot
-    /// simply leaves that op for its own publisher, who always
-    /// volunteers as a combiner itself — so the counter carries no
-    /// cross-thread protocol and must not add model-checker
-    /// scheduling points.
-    len: std::sync::atomic::AtomicUsize,
-}
-
-impl<K> Default for CombineRegistry<K> {
-    fn default() -> Self {
-        CombineRegistry {
-            slots: Mutex::new(Vec::new()),
-            len: std::sync::atomic::AtomicUsize::new(0),
-        }
-    }
-}
-
-impl<K> CombineRegistry<K> {
-    fn register(&self) -> Arc<CombineSlot<K>> {
-        let mut slots = self.slots.lock().unwrap();
-        if let Some(slot) = slots.iter().find(|s| Arc::strong_count(s) == 1) {
-            slot.word.0.store(COMBINE_IDLE, Release);
-            return Arc::clone(slot);
-        }
-        let slot = Arc::new(CombineSlot {
-            word: CachePadded(AtomicU64::new(COMBINE_IDLE)),
-            cell: UnsafeCell::new(None),
-        });
-        slots.push(Arc::clone(&slot));
-        self.len.store(slots.len(), Relaxed);
-        slot
-    }
-
-    /// Clones the current slot vector; the combiner scans the clone so
-    /// the registry mutex is never held across backend operations.
-    /// Handles cache the clone and revalidate it against [`len`]
-    /// (`CombineRegistry::len`), so the mutex is only retaken when a
-    /// new slot has been registered since — cached `Arc`s keep an
-    /// orphaned slot's strong count above one until the next refresh,
-    /// which merely delays (never defeats) `register`'s orphan reuse.
-    fn snapshot(&self) -> Vec<Arc<CombineSlot<K>>> {
-        self.slots.lock().unwrap().clone()
-    }
-}
-
-/// The combine-slot word of a pending op (`add`, or `remove` when
-/// `remove` is set) on shard `shard_id`.
-fn pending_word(shard_id: u64, remove: bool) -> u64 {
-    let tag = if remove { COMBINE_REMOVE } else { COMBINE_ADD };
-    (shard_id << COMBINE_TAG_BITS) | tag
-}
-
-/// Applies one single-key write through a backend handle. The direct
-/// write path and the combiner's drain both run it, so a delegated op is
-/// indistinguishable from a direct one at the backend.
-fn apply<K: Key>(handle: &mut impl SetHandle<K>, key: K, remove: bool) -> bool {
-    if remove {
-        handle.remove(key)
-    } else {
-        handle.add(key)
-    }
-}
-
 /// Clears a published activity slot when dropped, so an operation that
 /// unwinds out of a backend call never leaves a migration draining it.
 struct Published<'a>(&'a AtomicU64);
@@ -748,45 +615,6 @@ struct Published<'a>(&'a AtomicU64);
 impl Drop for Published<'_> {
     fn drop(&mut self) {
         self.0.store(SLOT_IDLE, Release);
-    }
-}
-
-/// The exit of one combiner drain pass, run on every path out of
-/// `CoreHandle::combine_drain` — unwinding out of a panicking backend op
-/// included, so a panic cannot strand the shard or its waiters:
-///
-/// * claimed ops without a published result go back to their owners:
-///   the pending word is restored ([`COMBINER_HANDOFF`] passes the
-///   payload cell on), so each owner's wait loop re-runs its op, as its
-///   own combiner if need be;
-/// * if the pass did not finish, the combiner's own op is withdrawn, as
-///   its caller is unwinding and will not wait for it (under the
-///   combiner lock no other thread can claim it);
-/// * the activity slot is cleared and the combiner lock released.
-struct DrainExit<'a, K, B> {
-    shard: &'a ShardState<K, B>,
-    slot: &'a AtomicU64,
-    own: &'a CombineSlot<K>,
-    peers: &'a [Arc<CombineSlot<K>>],
-    /// `(peers index, key, remove)` of every op this pass claimed.
-    claimed: &'a mut Vec<(usize, K, bool)>,
-    /// Claimed ops whose result has been published.
-    applied: usize,
-    finished: bool,
-}
-
-impl<K, B> Drop for DrainExit<'_, K, B> {
-    fn drop(&mut self) {
-        for &(i, _, remove) in &self.claimed[self.applied..] {
-            let pending = pending_word(self.shard.id, remove);
-            self.peers[i].word.0.store(pending, COMBINER_HANDOFF);
-        }
-        self.claimed.clear();
-        if !self.finished {
-            self.own.word.0.store(COMBINE_IDLE, Release);
-        }
-        self.slot.store(SLOT_IDLE, Release);
-        self.shard.combiner.store(false, Release);
     }
 }
 
@@ -873,20 +701,11 @@ struct ElasticCore<K, B> {
     next_id: AtomicU64,
     policy: LoadPolicy,
     slots: SlotRegistry,
-    /// Per-handle flat-combining mailbox slots.
-    combine: CombineRegistry<K>,
-    /// When set (tests, diagnostics), every current and future shard's
-    /// delegation flag is pinned on and the monitor's delegation sweep
-    /// is suspended.
-    combine_pin: AtomicBool,
     splits: AtomicU64,
     merges: AtomicU64,
     morphs: AtomicU64,
-    /// Times the monitor engaged delegation on a shard.
+    /// Times the monitor marked a shard write-hot.
     delegations: AtomicU64,
-    /// Delegated ops applied by combiners on behalf of other handles'
-    /// slots (diagnostic; window counters are bumped by the waiters).
-    combined: AtomicU64,
     /// Router tables of this structure currently allocated (published +
     /// retired-but-uncollected). See `RouterTable::alive`.
     tables_alive: Arc<std::sync::atomic::AtomicUsize>,
@@ -919,8 +738,7 @@ where
                     // partition: ceil(i·2^64 / n).
                     lo: (((i as u128) << 64).div_ceil(n as u128)) as u64,
                     sealed: AtomicBool::new(false),
-                    combining: AtomicBool::new(false),
-                    combiner: AtomicBool::new(false),
+                    write_hot: AtomicBool::new(false),
                     ops: WindowCounter::default(),
                     writes: WindowCounter::default(),
                     backend: B::new(),
@@ -937,13 +755,10 @@ where
             next_id: AtomicU64::new(n as u64 + 1),
             policy,
             slots: SlotRegistry::default(),
-            combine: CombineRegistry::default(),
-            combine_pin: AtomicBool::new(false),
             splits: AtomicU64::new(0),
             merges: AtomicU64::new(0),
             morphs: AtomicU64::new(0),
             delegations: AtomicU64::new(0),
-            combined: AtomicU64::new(0),
             tables_alive,
         }
     }
@@ -959,9 +774,6 @@ where
         CoreHandle {
             core: self,
             slot: self.slots.register(),
-            cslot: self.combine.register(),
-            peers: Vec::new(),
-            drain_scratch: Vec::new(),
             table,
             entries,
             bounds,
@@ -1054,12 +866,9 @@ where
             id: self.next_id.fetch_add(1, Relaxed),
             lo,
             sealed: AtomicBool::new(false),
-            // Replacement shards inherit a pinned delegation flag so a
-            // forced split cannot silently disengage delegation under a
-            // test; unpinned shards start direct and let the monitor's
-            // write-share sweep re-engage.
-            combining: AtomicBool::new(self.combine_pin.load(Relaxed)),
-            combiner: AtomicBool::new(false),
+            // Replacement shards start unmarked; the monitor's
+            // write-share sweep re-marks them.
+            write_hot: AtomicBool::new(false),
             ops: WindowCounter::default(),
             writes: WindowCounter::default(),
             backend,
@@ -1157,22 +966,18 @@ where
             s.ops.reset();
             s.writes.reset();
         }
-        // Delegation sweep: flip each shard's flat-combining flag from
-        // its window write share, with the `combine_settled` hysteresis.
-        // Runs before the split decision because the two interact — a
-        // write-hot shard is *delegated instead of split* (splitting
-        // moves the contended hot set to a child and leaves it just as
-        // contended; the combiner turns it into the amortized batch
-        // path). Suspended while a test has the flags pinned.
-        if self.policy.combine_write_pct > 0 && !self.combine_pin.load(Relaxed) {
-            for (i, shard) in self.published(&writer).shards.iter().enumerate() {
-                let cur = shard.combining.load(Relaxed);
-                let want = self.policy.combine_settled(writes[i], window[i], cur);
-                if want != cur {
-                    shard.combining.store(want, Relaxed);
-                    if want {
-                        self.delegations.fetch_add(1, Relaxed);
-                    }
+        // Write-hot sweep: mark each shard from its window write share,
+        // with the `combine_settled` hysteresis. Runs before the split
+        // decision because a write-hot shard is *not split*: splitting
+        // moves the hot set to a child that is just as hot, and pays a
+        // full seal/drain/copy for it.
+        for (i, shard) in self.published(&writer).shards.iter().enumerate() {
+            let cur = shard.write_hot.load(Relaxed);
+            let want = self.policy.combine_settled(writes[i], window[i], cur);
+            if want != cur {
+                shard.write_hot.store(want, Relaxed);
+                if want {
+                    self.delegations.fetch_add(1, Relaxed);
                 }
             }
         }
@@ -1181,13 +986,7 @@ where
             .enumerate()
             .max_by_key(|&(_, ops)| *ops)
             .expect("router table is never empty");
-        let hot_delegated = self.policy.combine_write_pct > 0
-            && self
-                .published(&writer)
-                .shards
-                .get(hot)
-                .is_some_and(|s| s.combining.load(Relaxed));
-        if !hot_delegated
+        if !self.published(&writer).shards[hot].write_hot.load(Relaxed)
             && hot_ops * 100 > total * self.policy.split_share_pct as u64
             && shard_len < self.policy.max_shards
             && self.migrate(&writer, hot, Plan::Split)
@@ -1383,18 +1182,6 @@ unsafe fn erase_handle_lifetime<'a, K: ShardKey, B: ElasticBackend<K>>(
 struct CoreHandle<'s, K: ShardKey, B: ElasticBackend<K>> {
     core: &'s ElasticCore<K, B>,
     slot: Arc<CachePadded<AtomicU64>>,
-    /// This handle's flat-combining mailbox slot (see [`CombineSlot`]).
-    /// Idle except while a write op on a delegated shard is in flight.
-    cslot: Arc<CombineSlot<K>>,
-    /// Cached clone of the combine-slot registry, scanned on every
-    /// drain pass and refreshed only when the registry's slot count
-    /// changes — the drain hot path never takes the registry mutex or
-    /// allocates. Staleness is safe: an unseen publisher volunteers as
-    /// its own combiner.
-    peers: Vec<Arc<CombineSlot<K>>>,
-    /// Reusable drain scratch: `(peers index, key, remove)` triples
-    /// claimed by the current pass. Cleared, never shrunk.
-    drain_scratch: Vec<(usize, K, bool)>,
     /// Owning snapshot of the router table this handle routes through.
     /// Revalidated by comparing its address against the published
     /// pointer: the `Arc` pins the allocation, so an address match
@@ -1506,46 +1293,21 @@ where
     /// scan, must see a write-quiescent shard): revalidate the snapshot,
     /// route `rank`, publish the shard's id in the activity slot,
     /// re-check the seal, and on a seal unpublish, wait out the
-    /// migration and retry. Returns `Ok(idx)` with the slot still
-    /// published; [`run`](CoreHandle::run) performs the op and clears it.
-    ///
-    /// `delegate` names a single-key write (`key`, `remove`) that may run
-    /// through the shard's combiner instead: when the routed shard is
-    /// flagged write-hot, the op is handed to [`delegate`](CoreHandle::delegate)
-    /// and its result comes back as `Err`.
-    fn admit(&mut self, rank: u64, delegate: Option<(K, bool)>) -> Result<usize, bool> {
+    /// migration and retry. Returns the shard's index with the slot
+    /// still published; [`run`](CoreHandle::run) performs the op and
+    /// clears it.
+    fn admit(&mut self, rank: u64) -> usize {
         loop {
             self.maybe_refresh();
             let idx = self.route(rank);
             let shard = &self.entries[idx].shard;
-            if let Some((key, remove)) = delegate {
-                if shard.combining.load(Relaxed) {
-                    match self.delegate(idx, key, remove) {
-                        Some(out) => return Err(out),
-                        // The shard sealed while the op was still pending
-                        // and the retraction won: wait out the migration,
-                        // then re-route.
-                        None => {
-                            self.stall(idx);
-                            continue;
-                        }
-                    }
-                }
-            }
             self.slot.0.store(shard.id, SLOT_PUBLISH);
             if !shard.sealed.load(SeqCst) {
-                return Ok(idx);
+                return idx;
             }
             self.slot.0.store(SLOT_IDLE, Release);
             self.stall(idx);
         }
-    }
-
-    /// [`admit`](CoreHandle::admit) for an operation that never
-    /// delegates.
-    fn enter(&mut self, rank: u64) -> usize {
-        self.admit(rank, None)
-            .unwrap_or_else(|_| unreachable!("only delegated writes bypass the shard"))
     }
 
     /// Runs `op` on the admitted shard at `idx`, clears the activity slot
@@ -1565,171 +1327,11 @@ where
         out
     }
 
-    /// Runs the write `op` against the backend handle of the shard owning
-    /// `key` under the seal protocol (never delegated).
+    /// Runs the single-key write `op` against the backend handle of the
+    /// shard owning `key` under the seal protocol.
     fn with_shard<R>(&mut self, key: K, op: impl FnOnce(&mut B::Handle<'static>) -> R) -> R {
-        let idx = self.enter(key.rank64());
+        let idx = self.admit(key.rank64());
         self.run(idx, 1, 1, op)
-    }
-
-    /// Single-key write op (`add` when `remove` is false, `remove`
-    /// otherwise): the guarded path, plus the flat-combining branch —
-    /// when the routed shard is flagged write-hot the op is enqueued into
-    /// this handle's combine slot for a combiner to apply through the
-    /// shard's batch path instead of CAS-racing the other writers
-    /// directly.
-    fn update(&mut self, key: K, remove: bool) -> bool {
-        match self.admit(key.rank64(), Some((key, remove))) {
-            Ok(idx) => self.run(idx, 1, 1, |h| apply(h, key, remove)),
-            Err(out) => out,
-        }
-    }
-
-    /// Enqueues one write op into this handle's combine slot and waits
-    /// for a combiner to publish its result — volunteering as the
-    /// combiner itself whenever the shard's combiner lock is free (so
-    /// delegation never deadlocks: some pending waiter always
-    /// eventually drains). Returns the op's result, or `None` if the
-    /// shard sealed before any combiner claimed the op — the op was
-    /// retracted without taking effect and must re-route.
-    fn delegate(&mut self, idx: usize, key: K, remove: bool) -> Option<bool> {
-        let pending = pending_word(self.entries[idx].shard.id, remove);
-        // SAFETY: the slot word reads IDLE here — this handle is the
-        // only publisher, and every exit path below (unwinding out of
-        // `combine_drain` included) restores IDLE — so this handle owns
-        // the payload cell.
-        unsafe { *self.cslot.cell.get() = Some(key) };
-        self.cslot.word.0.store(pending, COMBINE_PUBLISH);
-        loop {
-            let w = self.cslot.word.0.load(Acquire);
-            match w {
-                COMBINE_DONE_TRUE | COMBINE_DONE_FALSE => {
-                    // The Acquire load above pairs with the combiner's
-                    // COMBINER_HANDOFF release: the backend mutation is
-                    // visible before we return. Exactly one op completed
-                    // on this slot — count it here, never in the
-                    // combiner, so window shares stay truthful.
-                    self.cslot.word.0.store(COMBINE_IDLE, Release);
-                    self.note(idx, 1, 1);
-                    return Some(w == COMBINE_DONE_TRUE);
-                }
-                // A combiner owns the op; its result is imminent.
-                COMBINE_CLAIMED => crate::sync::thread_yield(),
-                _ => {
-                    debug_assert_eq!(w, pending);
-                    if self.entries[idx].shard.sealed.load(SeqCst) {
-                        // Retract the unclaimed op so the migration's
-                        // copy cannot strand it on the decommissioned
-                        // backend. A failed CAS means a combiner claimed
-                        // it first and will finish before the drain lets
-                        // the copy start — keep waiting for the result.
-                        if self
-                            .cslot
-                            .word
-                            .0
-                            .compare_exchange(pending, COMBINE_IDLE, Relaxed, Relaxed)
-                            .is_ok()
-                        {
-                            return None;
-                        }
-                    } else if !self.combine_drain(idx) {
-                        // Another combiner holds the lock (or the shard
-                        // sealed under it); donate the timeslice so the
-                        // holder can finish and publish our result.
-                        crate::sync::thread_yield();
-                    }
-                }
-            }
-        }
-    }
-
-    /// Tries to become the combiner for the shard at `idx`: claims the
-    /// shard's combiner lock, joins the seal protocol through the
-    /// activity slot exactly like a direct writer, then claims every
-    /// pending combine slot naming this shard and applies the claimed
-    /// ops in one sorted pass over the cached backend handle. Returns
-    /// `true` iff a drain pass ran — `false` means another thread holds
-    /// the combiner lock or the shard sealed first, and the caller
-    /// should yield rather than spin on the lock. Every exit, unwinding
-    /// out of a panicking backend op included, runs through
-    /// [`DrainExit`].
-    fn combine_drain(&mut self, idx: usize) -> bool {
-        let shard = Arc::clone(&self.entries[idx].shard);
-        if shard
-            .combiner
-            .compare_exchange(false, true, Acquire, Relaxed)
-            .is_err()
-        {
-            return false;
-        }
-        // The combiner is a writer: publish the activity slot and
-        // re-check the seal so a migration's drain waits for the whole
-        // batch below, and no batch can start after the seal.
-        self.slot.0.store(shard.id, SLOT_PUBLISH);
-        let sealed = shard.sealed.load(SeqCst);
-        if !sealed && self.peers.len() != self.core.combine.len.load(Relaxed) {
-            self.peers = self.core.combine.snapshot();
-        }
-        let mut exit = DrainExit {
-            shard: &shard,
-            slot: &self.slot.0,
-            own: &self.cslot,
-            peers: &self.peers,
-            claimed: &mut self.drain_scratch,
-            applied: 0,
-            finished: false,
-        };
-        if sealed {
-            exit.finished = true;
-            return false;
-        }
-        for (i, s) in self.peers.iter().enumerate() {
-            let w = s.word.0.load(Relaxed);
-            let tag = w & COMBINE_TAG_MASK;
-            if (w >> COMBINE_TAG_BITS) != shard.id || (tag != COMBINE_ADD && tag != COMBINE_REMOVE)
-            {
-                continue;
-            }
-            // Claim-or-skip: a lost CAS means the waiter retracted (or
-            // another combiner of an older generation claimed) first.
-            // Acquire success pairs with the waiter's COMBINE_PUBLISH
-            // release, making the payload cell's key visible below.
-            if s.word
-                .0
-                .compare_exchange(w, COMBINE_CLAIMED, Acquire, Relaxed)
-                .is_err()
-            {
-                continue;
-            }
-            // SAFETY: winning the claim CAS transfers payload-cell
-            // ownership from the waiter to this combiner until the
-            // done publish; no other thread touches the cell while the
-            // word reads CLAIMED.
-            let key = unsafe { *s.cell.get() }.expect("claimed combine slot holds a key");
-            exit.claimed.push((i, key, tag == COMBINE_REMOVE));
-        }
-        // Ascending key order: the whole batch applies in one amortized
-        // traversal direction, mirroring the `add_batch` sorted-run
-        // discipline that makes delegation cheaper than CAS-racing.
-        exit.claimed.sort_unstable_by_key(|&(_, key, _)| key);
-        let h = self.entries[idx].handle();
-        while let Some(&(i, key, remove)) = exit.claimed.get(exit.applied) {
-            let out = apply(h, key, remove);
-            self.peers[i].word.0.store(
-                if out {
-                    COMBINE_DONE_TRUE
-                } else {
-                    COMBINE_DONE_FALSE
-                },
-                COMBINER_HANDOFF,
-            );
-            exit.applied += 1;
-        }
-        if exit.applied > 0 {
-            self.core.combined.fetch_add(exit.applied as u64, Relaxed);
-        }
-        exit.finished = true;
-        true
     }
 
     /// Read-only analogue of [`with_shard`](CoreHandle::with_shard):
@@ -1771,7 +1373,7 @@ where
         let mut n = 0;
         let mut i = 0;
         while i < keys.len() {
-            let idx = self.enter(keys[i].rank64());
+            let idx = self.admit(keys[i].rank64());
             let j = match self.entries.get(idx + 1).map(|e| e.shard.lo) {
                 Some(hi) => i + keys[i..].partition_point(|k| k.rank64() < hi),
                 None => keys.len(),
@@ -1805,7 +1407,7 @@ where
                     break;
                 }
             }
-            let idx = self.enter(cursor);
+            let idx = self.admit(cursor);
             let leg = match out.last() {
                 Some(&l) => bounds.resume_after(l),
                 None => *bounds,
@@ -1847,8 +1449,7 @@ where
     }
 
     /// Load accounting + the amortized monitor hook: `ops` operations on
-    /// `idx`, `writes` of them writes (feeding the write-share
-    /// delegation decision).
+    /// `idx`, `writes` of them writes (feeding the write-hot decision).
     #[inline]
     fn note(&mut self, idx: usize, writes: u32, ops: u32) {
         let e = &mut self.entries[idx];
@@ -1995,28 +1596,16 @@ where
             .collect()
     }
 
-    /// Pins every current and future shard's flat-combining flag to
-    /// `on` and suspends the monitor's delegation sweep while pinned
-    /// (deterministic tests and diagnostics — the combine protocol
-    /// itself never depends on flag stability).
-    pub fn pin_combining(&self, on: bool) {
-        self.core.combine_pin.store(on, Relaxed);
-        self.core.with_published(|t| {
-            for s in t.shards.iter() {
-                s.combining.store(on, Relaxed);
-            }
-        });
-    }
-
-    /// Times the monitor engaged delegation on a shard.
+    /// Times the monitor marked a shard write-hot (and so stopped
+    /// splitting it).
     pub fn delegations(&self) -> u64 {
         self.core.delegations.load(Relaxed)
     }
 
-    /// Delegated ops applied by combiners so far (self-combined ops
-    /// included).
+    /// Always 0: writes on write-hot shards run directly, so nothing is
+    /// combined. Kept because the fixed benchmark (`perfbench`) reads it.
     pub fn combined(&self) -> u64 {
-        self.core.combined.load(Relaxed)
+        0
     }
 }
 
@@ -2114,11 +1703,11 @@ where
     for<'a> B::Handle<'a>: OrderedHandle<K>,
 {
     fn add(&mut self, key: K) -> bool {
-        self.inner.update(key, false)
+        self.inner.with_shard(key, |h| h.add(key))
     }
 
     fn remove(&mut self, key: K) -> bool {
-        self.inner.update(key, true)
+        self.inner.with_shard(key, |h| h.remove(key))
     }
 
     fn contains(&mut self, key: K) -> bool {
@@ -2194,32 +1783,38 @@ pub type ElasticSet<K, B> = Elastic<K, SetBackend<B>>;
 /// ```
 pub type ElasticMorphSet<K, S> = Elastic<K, MorphBackend<K, S>>;
 
-/// An [`ElasticMorphSet`] with flat-combining delegation enabled: the
-/// monitor watches each shard's write share and, once it crosses
-/// [`LoadPolicy::combine_write_pct`], stops splitting the shard and
-/// instead funnels its write ops through one combiner at a time — each
-/// writer parks its op in a per-handle padded mailbox slot, one thread
-/// claims the shard's combiner lock, drains every pending slot in one
-/// sorted pass over the backend, and publishes per-op results back
-/// through the slots. Splitting moves a contended hot set to a child
-/// shard and leaves it just as contended; combining turns it into the
-/// amortized batch path and keeps the router table stable. Named
-/// `elastic_combine`; built under [`LoadPolicy::combining`].
+/// An [`ElasticMorphSet`] that keeps write-hot shards whole: the monitor
+/// watches each shard's write share and, once it crosses
+/// [`LoadPolicy::combine_write_pct`], marks the shard write-hot and stops
+/// splitting it. Splitting moves a write-hot set to a child shard that is
+/// just as hot, and each split pays a full seal/drain/copy; an unsplit
+/// shard keeps the router table stable. Writes on a write-hot shard run
+/// directly, like every other write. Named `elastic_combine`; built under
+/// [`LoadPolicy::combining`].
 ///
 /// # Examples
 ///
 /// ```
-/// use pragmatic_list::elastic::ElasticCombineSet;
+/// use pragmatic_list::elastic::{ElasticCombineSet, LoadPolicy};
 /// use pragmatic_list::variants::SinglyCursorEpochList;
 /// use pragmatic_list::{ConcurrentOrderedSet, SetHandle};
 ///
-/// let set = ElasticCombineSet::<i64, SinglyCursorEpochList<i64>>::new();
-/// set.pin_combining(true); // deterministic: every shard delegates
+/// let set = ElasticCombineSet::<i64, SinglyCursorEpochList<i64>>::with_policy(LoadPolicy {
+///     check_period: 16,
+///     window_min_ops: 64,
+///     ..LoadPolicy::combining()
+/// });
 /// let mut h = set.handle();
-/// assert!(h.add(7));
-/// assert!(h.contains(7));
-/// assert!(h.remove(7));
-/// assert!(set.combined() >= 1);
+/// // Pure writes on 32 keys of one shard.
+/// for i in 0..4_000i64 {
+///     if i % 2 == 0 {
+///         h.add(i % 32);
+///     } else {
+///         h.remove(i % 32);
+///     }
+/// }
+/// assert!(set.delegations() >= 1); // the shard was marked write-hot
+/// assert_eq!(set.splits(), 0); // and so never split
 /// ```
 pub type ElasticCombineSet<K, S> = Elastic<K, MorphBackend<K, S>, true>;
 
@@ -2328,7 +1923,8 @@ impl<K: ShardKey, V: Copy + Send + Sync + 'static> ElasticMapHandle<'_, K, V> {
     /// Inserts `key → value`; `true` iff the key was absent (no
     /// overwrite — [`ListMap`](crate::map::ListMap)'s contract).
     pub fn insert(&mut self, key: K, value: V) -> bool {
-        self.inner.update(MapEntry::new(key, value), false)
+        let entry = MapEntry::new(key, value);
+        self.inner.with_shard(entry, |h| h.add(entry))
     }
 
     /// Removes `key`; returns its value iff this thread won the delete.
@@ -3091,44 +2687,6 @@ mod tests {
     }
 
     #[test]
-    fn pinned_delegation_agrees_with_flat() {
-        let set = CombineSet::with_policy(LoadPolicy {
-            min_split_keys: 4,
-            ..eager()
-        });
-        set.pin_combining(true);
-        let flat = SinglyCursorList::<i64>::new();
-        let mut hs = set.handle();
-        let mut hf = flat.handle();
-        let mut x = 0xfeed_beefu64;
-        for i in 0..6_000u64 {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let k = spread(((x >> 33) % 300) as i64);
-            match x % 3 {
-                0 => assert_eq!(hs.add(k), hf.add(k)),
-                1 => assert_eq!(hs.remove(k), hf.remove(k)),
-                _ => assert_eq!(hs.contains(k), hf.contains(k)),
-            }
-            // Toggle the pin mid-churn: ops must agree whether they run
-            // delegated or direct, and across forced migrations either
-            // way.
-            if i % 1000 == 500 {
-                set.pin_combining(i % 2000 == 500);
-            }
-            if i % 1500 == 700 {
-                let _ = set.force_split_at(k);
-            }
-        }
-        assert!(set.combined() > 0, "pinned writes must run delegated");
-        drop((hs, hf));
-        let (mut set, mut flat) = (set, flat);
-        assert_eq!(set.collect_keys(), flat.collect_keys());
-        set.check_invariants().unwrap();
-    }
-
-    #[test]
     fn auto_delegation_engages_on_write_heavy_shard_instead_of_split() {
         let set = CombineSet::with_policy(LoadPolicy {
             combine_write_pct: 30,
@@ -3136,8 +2694,8 @@ mod tests {
         });
         let mut h = set.handle();
         // A pure-write hot shard: share 100% ≥ 30% at the first window
-        // close, so the sweep engages delegation *before* the split
-        // decision runs — the hot shard is delegated, never split.
+        // close, so the sweep marks it write-hot *before* the split
+        // decision runs — the hot shard is never split.
         let mut x = 0x5eedu64;
         for _ in 0..2_000u64 {
             x = x
@@ -3152,73 +2710,16 @@ mod tests {
         }
         assert!(
             set.delegations() > 0,
-            "a 100% write share must engage delegation"
+            "a 100% write share must mark the shard write-hot"
         );
-        assert_eq!(
-            set.splits(),
-            0,
-            "a delegated hot shard must not be split (delegate instead of split)"
-        );
-        assert!(
-            set.combined() > 0,
-            "engaged shards must drain via combiners"
-        );
+        assert_eq!(set.splits(), 0, "a write-hot shard must not be split");
         drop(h);
         let mut set = set;
         set.check_invariants().unwrap();
     }
 
-    #[test]
-    fn concurrent_delegated_churn_with_migrations_keeps_contents() {
-        let set = CombineSet::with_policy(LoadPolicy {
-            min_split_keys: 2,
-            ..eager()
-        });
-        set.pin_combining(true);
-        std::thread::scope(|s| {
-            // Each thread owns the keys of one residue class mod 3
-            // (249 = 3·83 keeps the classes disjoint under the % 249
-            // wrap), so the final contents are deterministic: every
-            // thread's last pass re-adds its whole class.
-            for t in 0..3i64 {
-                let set = &set;
-                s.spawn(move || {
-                    let mut h = set.handle();
-                    for round in 0..4i64 {
-                        for i in 0..200 {
-                            h.add(spread((i * 3 + t) % 249));
-                        }
-                        for i in 0..200 {
-                            h.remove(spread(((i + round) * 3 + t) % 249));
-                        }
-                        for i in 0..200 {
-                            h.add(spread((i * 3 + t) % 249));
-                        }
-                    }
-                });
-            }
-            // Seal shards under the delegating writers: pending combine
-            // ops must either complete pre-seal or retract and re-route.
-            let mut i = 0i64;
-            while set.splits() < 3 && i < 5_000 {
-                let _ = set.force_split_at(spread(i * 7 % 249));
-                i += 1;
-                std::thread::sleep(std::time::Duration::from_micros(50));
-            }
-        });
-        assert!(set.splits() > 0, "migrations must fire under delegation");
-        assert!(set.combined() > 0, "pinned writes must run delegated");
-        let mut set = set;
-        assert_eq!(
-            set.collect_keys(),
-            (0..249).map(spread).collect::<Vec<_>>(),
-            "no delegated op lost or duplicated across migrations"
-        );
-        set.check_invariants().unwrap();
-    }
-
     /// A key whose comparisons panic on [`POISON`], so a backend op on it
-    /// unwinds from inside the list, i.e. from inside a combiner's drain.
+    /// unwinds from inside the list.
     #[derive(Clone, Copy, Debug, PartialEq, Eq)]
     struct Poisonable(i64);
 
@@ -3272,38 +2773,22 @@ mod tests {
         }
     }
 
-    /// A combiner whose backend op panics mid-drain must leave the shard
-    /// live: the combiner lock released, its activity slot cleared and
-    /// its own combine slot idle, so other writers, later migrations and
-    /// the panicking handle itself all make progress. A direct write that
-    /// panics must clear its activity slot too, although its handle lives
-    /// on.
+    /// A direct write that panics inside the backend must clear its
+    /// activity slot although its handle lives on, so a later migration
+    /// of the shard still drains and returns.
     #[test]
-    fn combiner_panic_leaves_the_shard_live() {
+    fn direct_panic_leaves_the_shard_live() {
         let set: &'static ElasticSet<Poisonable, SinglyCursorList<Poisonable>> =
             Box::leak(Box::new(ElasticSet::with_policy(LoadPolicy {
                 initial_shards: 1,
                 min_split_keys: 2,
                 ..LoadPolicy::default()
             })));
-        set.pin_combining(true);
         let mut h = set.handle();
-        for k in [1, 2, 3, 4] {
+        for k in [1, 2, 3, 4, 8] {
             assert!(h.add(Poisonable(k)));
         }
-        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| h.add(POISON)));
-        assert!(unwound.is_err(), "the poisoned op must panic");
-        assert!(bounded("another handle's add", move || {
-            set.handle().add(Poisonable(8))
-        }));
-        assert!(bounded("a split of the shard", move || {
-            set.force_split_at(Poisonable(3))
-        }));
-        // The handle that panicked keeps working.
-        assert!(h.add(Poisonable(9)));
-        assert!(h.remove(Poisonable(1)));
-        assert!(set.combined() > 0, "the writes above ran delegated");
-        set.pin_combining(false);
+        assert!(set.force_split_at(Poisonable(3)));
         let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| h.add(POISON)));
         assert!(unwound.is_err(), "the poisoned direct op must panic");
         assert!(bounded("a merge after a direct panic", move || {
@@ -3433,104 +2918,6 @@ mod tests {
         fn hazard_backend_migrations_are_leak_free() {
             assert_migrations_are_leak_free::<SinglyList<LeakKey, true, false, false, HazardReclaim>>(
             );
-        }
-
-        /// The delegated variant of [`assert_migrations_are_leak_free`]:
-        /// every write runs through a combiner (flags pinned on) while
-        /// forced splits seal shards under the pending mailbox ops, so
-        /// combiner-drained batches and seal-retracted ops both recycle
-        /// their nodes — whichever reclaimer the backend runs.
-        fn assert_combining_migrations_are_leak_free<B>()
-        where
-            B: ConcurrentOrderedSet<LeakKey> + 'static,
-            for<'a> B::Handle<'a>: OrderedHandle<LeakKey>,
-        {
-            let _serial = leak::LEAK_TEST_LOCK
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
-            let (a0, f0) = leak::snapshot();
-            {
-                let set = ElasticSet::<LeakKey, B>::with_policy(LoadPolicy {
-                    min_split_keys: 2,
-                    ..LoadPolicy::default()
-                });
-                set.pin_combining(true);
-                {
-                    let mut h = set.handle();
-                    for i in 201..=216 {
-                        h.add(LeakKey(i));
-                    }
-                }
-                std::thread::scope(|s| {
-                    for t in 0..3i64 {
-                        let set = &set;
-                        s.spawn(move || {
-                            let mut h = set.handle();
-                            for round in 0..4i64 {
-                                for i in 0..150 {
-                                    h.add(LeakKey((i * 3 + t) % 120 + 1));
-                                }
-                                for i in 0..150 {
-                                    h.remove(LeakKey((i * 3 + t + round) % 120 + 1));
-                                }
-                            }
-                        });
-                    }
-                    let mut i = 0i64;
-                    while set.splits() < 3 && i < 5_000 {
-                        let _ = set.force_split_at(LeakKey(i * 6 % 216 + 1));
-                        if i % 3 == 0 {
-                            let _ = set.force_merge_at(LeakKey(i % 216 + 1));
-                        }
-                        i += 1;
-                        std::thread::sleep(std::time::Duration::from_micros(50));
-                    }
-                });
-                assert!(set.splits() > 0, "{}: no migration fired", B::NAME);
-                assert!(
-                    set.combined() > 0,
-                    "{}: pinned churn must drain via combiners",
-                    B::NAME
-                );
-                drive_collector(|| set.tables_alive() == 1);
-                assert_eq!(
-                    set.tables_alive(),
-                    1,
-                    "{}: retired router tables must collect",
-                    B::NAME
-                );
-            }
-            drive_collector(|| {
-                let (a, f) = leak::snapshot();
-                a - a0 == f - f0
-            });
-            let (a1, f1) = leak::snapshot();
-            assert!(a1 > a0, "{}: delegated churn must allocate", B::NAME);
-            assert_eq!(
-                a1 - a0,
-                f1 - f0,
-                "{}: combiner-drained batches must free every node",
-                B::NAME
-            );
-        }
-
-        #[test]
-        fn arena_combining_migrations_are_leak_free() {
-            assert_combining_migrations_are_leak_free::<SinglyList<LeakKey, true, true, false>>();
-        }
-
-        #[test]
-        fn epoch_combining_migrations_are_leak_free() {
-            assert_combining_migrations_are_leak_free::<
-                SinglyList<LeakKey, true, true, false, EpochReclaim>,
-            >();
-        }
-
-        #[test]
-        fn hazard_combining_migrations_are_leak_free() {
-            assert_combining_migrations_are_leak_free::<
-                SinglyList<LeakKey, true, false, false, HazardReclaim>,
-            >();
         }
 
         #[test]

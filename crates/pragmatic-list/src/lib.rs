@@ -73,8 +73,8 @@
 //! hot shards (merging cold ones) while concurrent operations run, under
 //! an injectable [`LoadPolicy`]. Three preset aliases name its shard
 //! backend: [`ElasticSet`] (any ordered set), [`ElasticMorphSet`] and
-//! [`ElasticCombineSet`] (per-shard morphing, the latter with
-//! flat-combining delegation). [`ElasticMap`] (key→value) is an
+//! [`ElasticCombineSet`] (per-shard morphing, the latter never
+//! splitting a write-hot shard). [`ElasticMap`] (key→value) is an
 //! [`ElasticSet`] of the same variant d) entry lists, as with
 //! [`ShardedMap`].
 //!

@@ -48,41 +48,6 @@ pub(crate) const TABLE_PUBLISH: std::sync::atomic::Ordering = std::sync::atomic:
 #[cfg(interleave_mutate)]
 pub(crate) const TABLE_PUBLISH: std::sync::atomic::Ordering = std::sync::atomic::Ordering::Relaxed;
 
-/// Ordering of the waiter's combine-slot publish (`elastic.rs`): the
-/// store that flips a per-handle combine slot from idle to pending,
-/// after the op's key has been written into the slot's payload cell.
-/// `Release` pairs with the combiner's claim CAS (`Acquire` on success):
-/// a combiner that wins the claim observes the key the waiter wrote.
-/// This constant has no `interleave_mutate` twin: its failure mode is
-/// the visibility of a *non-atomic* payload cell, which the checker's
-/// store-visibility model does not weaken (plain memory is sequenced by
-/// the schedule), so a seeded `Relaxed` here would be undetectable —
-/// the mutation self-test targets [`COMBINER_HANDOFF`] instead.
-pub(crate) const COMBINE_PUBLISH: std::sync::atomic::Ordering =
-    std::sync::atomic::Ordering::Release;
-
-/// Ordering of the combiner's result publish (`elastic.rs`): the store
-/// that flips a claimed combine slot to its done state, after the
-/// combiner applied the delegated operation to the shard backend.
-/// `Release` pairs with the waiting handle's `Acquire` spin load:
-/// everything the combiner did to the backend happens-before the waiter
-/// returns, so the waiter's *next direct read* of that backend sees its
-/// own delegated update. Weakening this to `Relaxed` lets a waiter
-/// return from a delegated `add` and then miss the key on an immediate
-/// `contains` — the seeded bug the mutation self-test
-/// (`weakened_combiner_handoff_is_detected`) requires the checker to
-/// catch.
-#[cfg(not(interleave_mutate))]
-pub(crate) const COMBINER_HANDOFF: std::sync::atomic::Ordering =
-    std::sync::atomic::Ordering::Release;
-
-/// Deliberately weakened handoff ordering for the model checker's
-/// mutation self-test (`RUSTFLAGS="--cfg interleave --cfg
-/// interleave_mutate"`). Never enabled in normal builds.
-#[cfg(interleave_mutate)]
-pub(crate) const COMBINER_HANDOFF: std::sync::atomic::Ordering =
-    std::sync::atomic::Ordering::Relaxed;
-
 #[cfg(interleave)]
 pub(crate) use interleave::sync::{
     fence, AtomicBool, AtomicI64, AtomicPtr, AtomicU64, AtomicUsize, Mutex, MutexGuard,

@@ -185,59 +185,3 @@ fn weakened_table_publish_is_detected() {
         report.iterations
     );
 }
-
-/// The flat-combining seeded mutation: `interleave_mutate` weakens
-/// `COMBINER_HANDOFF` (see `sync.rs`) from `Release` to `Relaxed` on
-/// the combiner's done-store. Without the release edge, a waiter's
-/// `Acquire` spin load can observe the done state before the combiner's
-/// backend stores are visible, so a thread returns from a delegated
-/// `add` and then misses its own key on an immediate direct `contains`.
-/// Delegation is pinned on so every write travels through a combine
-/// slot; the main thread's own `add` makes it a candidate cross-thread
-/// combiner for the spawned thread's op.
-#[test]
-fn weakened_combiner_handoff_is_detected() {
-    let report = Builder::new()
-        .preemption_bound(2)
-        .max_iterations(200_000)
-        .on_reset(crossbeam_epoch::interleave_reset)
-        .check(|| {
-            let set = Arc::new(ElasticSet::<i64, SinglyCursorList<i64>>::with_policy(
-                elastic_policy(),
-            ));
-            set.pin_combining(true);
-            {
-                let mut h = set.handle();
-                assert!(h.add(10));
-                assert!(h.add(20));
-            }
-            let s2 = Arc::clone(&set);
-            let t = interleave::thread::spawn(move || {
-                let mut h = s2.handle();
-                let added = h.add(15);
-                (added, h.contains(15))
-            });
-            let added_main = {
-                let mut h = set.handle();
-                h.add(25)
-            };
-            let (added, seen) = t.join().unwrap();
-            assert!(added, "15 was absent; the delegated add must succeed");
-            assert!(seen, "the waiter must see its own delegated insert");
-            assert!(added_main, "25 was absent; the combining add must succeed");
-            let mut set = Arc::into_inner(set).expect("all handles dropped");
-            set.check_invariants().unwrap();
-            assert_eq!(set.collect_keys(), vec![10, 15, 20, 25]);
-        });
-    eprintln!(
-        "combiner mutation run explored {} schedules",
-        report.iterations
-    );
-    let failure = report.failure.expect(
-        "the seeded Release→Relaxed COMBINER_HANDOFF mutation must produce a failing schedule",
-    );
-    eprintln!(
-        "combiner mutation caught after {} schedules:\n{failure}",
-        report.iterations
-    );
-}

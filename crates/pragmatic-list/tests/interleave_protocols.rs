@@ -22,9 +22,7 @@ use pragmatic_list::reclaim::EpochReclaim;
 use pragmatic_list::set::{ConcurrentOrderedSet, SetHandle};
 use pragmatic_list::singly::SinglyList;
 use pragmatic_list::unrolled::UnrolledList;
-use pragmatic_list::variants::{
-    SinglyCursorEpochList, SinglyCursorList, SinglyEpochList, SinglyHpList,
-};
+use pragmatic_list::variants::{SinglyCursorList, SinglyEpochList, SinglyHpList};
 use pragmatic_list::{ElasticSet, LoadPolicy};
 
 /// An elastic policy under which `force_split_at` always commits on a
@@ -385,136 +383,4 @@ fn rcu_router_publish_read_retire() {
             set.check_invariants().unwrap();
         });
     accept("rcu_router_publish_read_retire", report);
-}
-
-/// Protocol 8: the combine-slot publish → claim → handoff chain. With
-/// delegation pinned on, the spawned thread's `add(15)` travels through
-/// its combine slot: key into the payload cell, `COMBINE_PUBLISH`
-/// (`Release`) flips the slot pending, and whichever handle wins the
-/// combiner lock — the waiter itself or the main thread combining for
-/// its own `add(25)` — applies the op and publishes the result with
-/// `COMBINER_HANDOFF` (`Release`). The waiter's immediate `contains(15)`
-/// must then see its own delegated insert through a *direct* read of the
-/// shard backend: exactly the release/acquire edge the handoff ordering
-/// exists for (and the one the `interleave_mutate` self-test weakens).
-#[test]
-fn slot_publish_result_visible() {
-    let report = builder(2)
-        .on_reset(crossbeam_epoch::interleave_reset)
-        .check(|| {
-            let set = Arc::new(ElasticSet::<i64, SinglyCursorList<i64>>::with_policy(
-                elastic_policy(),
-            ));
-            set.pin_combining(true);
-            {
-                let mut h = set.handle();
-                assert!(h.add(10));
-                assert!(h.add(20));
-            }
-            let s2 = Arc::clone(&set);
-            let t = interleave::thread::spawn(move || {
-                let mut h = s2.handle();
-                let added = h.add(15);
-                (added, h.contains(15))
-            });
-            let added_main = {
-                let mut h = set.handle();
-                h.add(25)
-            };
-            let (added, seen) = t.join().unwrap();
-            assert!(added, "15 was absent; the delegated add must succeed");
-            assert!(seen, "the waiter must see its own delegated insert");
-            assert!(added_main, "25 was absent; the combining add must succeed");
-            assert!(set.combined() > 0, "at least one op must combine");
-            let mut set = Arc::into_inner(set).expect("all handles dropped");
-            set.check_invariants().unwrap();
-            assert_eq!(set.collect_keys(), vec![10, 15, 20, 25]);
-        });
-    accept("slot_publish_result_visible", report);
-}
-
-/// Protocol 9: a delegated op racing the seal → drain migration. The
-/// spawned thread's `add(500)` enqueues into its combine slot on the
-/// original shard while the main thread force-splits it: the combiner
-/// (holding an activity slot, which the migrator's drain waits on)
-/// either finishes the op against the pre-copy backend, or the waiter
-/// observes the seal, retracts its still-unclaimed slot with a CAS, and
-/// re-routes through the post-split table. Every interleaving must
-/// commit the add exactly once — never lose it, never double-apply it.
-#[test]
-fn combiner_handoff_no_lost_op() {
-    let report = builder(1)
-        .on_reset(crossbeam_epoch::interleave_reset)
-        .check(|| {
-            let set = Arc::new(ElasticSet::<i64, SinglyCursorList<i64>>::with_policy(
-                elastic_policy(),
-            ));
-            set.pin_combining(true);
-            {
-                let mut h = set.handle();
-                for k in [10, 400, 700, 1_000] {
-                    assert!(h.add(k));
-                }
-            }
-            let s2 = Arc::clone(&set);
-            let t = interleave::thread::spawn(move || {
-                let mut h = s2.handle();
-                h.add(500)
-            });
-            let split = set.force_split_at(600);
-            assert!(split, "the forced split must commit");
-            let added = t.join().unwrap();
-            assert!(added, "the delegated add must not be lost");
-            let mut set = Arc::into_inner(set).expect("all handles dropped");
-            set.check_invariants().unwrap();
-            let mut h = set.handle();
-            for k in [10, 400, 500, 700, 1_000] {
-                assert!(h.contains(k), "key {k} must survive the migration");
-            }
-        });
-    accept("combiner_handoff_no_lost_op", report);
-}
-
-/// Protocol 10: combiner drain under epoch reclamation. A delegated
-/// `remove(20)` unlinks and retires a node through the global epoch
-/// collector from whichever thread combines it, while the other thread
-/// traverses the same shard; the grace period must keep the retired
-/// node's instrumented atomics alive until every reader unpins
-/// (premature frees hit the checker's use-after-free tombstones).
-#[test]
-fn combiner_drain_epoch_retire() {
-    let report = builder(1)
-        .on_reset(crossbeam_epoch::interleave_reset)
-        .check(|| {
-            let set = Arc::new(ElasticSet::<i64, SinglyCursorEpochList<i64>>::with_policy(
-                elastic_policy(),
-            ));
-            set.pin_combining(true);
-            {
-                let mut h = set.handle();
-                for k in [10, 20, 30] {
-                    assert!(h.add(k));
-                }
-            }
-            let s2 = Arc::clone(&set);
-            let t = interleave::thread::spawn(move || {
-                let mut h = s2.handle();
-                let removed = h.remove(20);
-                // Drive collection so frees happen while the reader may
-                // still be pinned mid-traversal.
-                crossbeam_epoch::pin().flush();
-                removed
-            });
-            let seen = {
-                let mut h = set.handle();
-                (h.contains(10), h.contains(30))
-            };
-            assert!(t.join().unwrap(), "20 was present; the remove must win");
-            assert!(seen.0, "10 is never removed; traversal must see it");
-            assert!(seen.1, "30 is never removed; traversal must see it");
-            let mut set = Arc::into_inner(set).expect("all handles dropped");
-            set.check_invariants().unwrap();
-            assert_eq!(set.collect_keys(), vec![10, 30]);
-        });
-    accept("combiner_drain_epoch_retire", report);
 }

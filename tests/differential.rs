@@ -167,60 +167,6 @@ where
         .unwrap_or_else(|e| panic!("elastic({}): invariant violated: {e}", B::NAME));
 }
 
-/// Applies `tape` to an elastic set with flat-combining delegation
-/// *pinned* write-hot (every write travels through a combine slot and is
-/// applied by the combiner), toggling the pin off and back on mid-tape
-/// and forcing the occasional split/merge, against a `BTreeSet` oracle:
-/// delegated ops must return exactly what their direct counterparts
-/// would, across engage/disengage boundaries and under migrations.
-fn check_delegation_against_btreeset<B>(tape: &[Step], toggle_every: usize)
-where
-    B: ConcurrentOrderedSet<i64> + 'static,
-    for<'a> B::Handle<'a>: OrderedHandle<i64>,
-{
-    use std::collections::BTreeSet;
-    let set = ElasticSet::<i64, B>::with_policy(splittable());
-    set.pin_combining(true);
-    let mut h = set.handle();
-    let mut oracle = BTreeSet::new();
-    for (i, &step) in tape.iter().enumerate() {
-        let (got, want, key) = match step {
-            Step::Add(k) => (h.add(k), oracle.insert(k), k),
-            Step::Remove(k) => (h.remove(k), oracle.remove(&k), k),
-            Step::Contains(k) => (h.contains(k), oracle.contains(&k), k),
-        };
-        assert_eq!(got, want, "delegated({}): step {i} diverged", B::NAME);
-        if toggle_every > 0 && i % toggle_every == toggle_every - 1 {
-            match (i / toggle_every) % 4 {
-                0 => set.pin_combining(false),
-                1 => set.pin_combining(true),
-                2 => {
-                    set.force_split_at(key);
-                }
-                _ => {
-                    set.force_merge_at(key);
-                }
-            }
-        }
-    }
-    let all: Vec<i64> = oracle.iter().copied().collect();
-    assert_eq!(h.iter().into_vec(), all, "delegated: full scan");
-    assert_eq!(h.len_estimate(), oracle.len());
-    for &lo in all.iter().take(3) {
-        for &hi in all.iter().rev().take(3) {
-            if lo <= hi {
-                let want: Vec<i64> = oracle.range(lo..=hi).copied().collect();
-                assert_eq!(h.range(lo..=hi).into_vec(), want, "window {lo}..={hi}");
-            }
-        }
-    }
-    drop(h);
-    let mut set = set;
-    assert_eq!(set.collect_keys(), all, "delegated: final contents");
-    set.check_invariants()
-        .unwrap_or_else(|e| panic!("delegated({}): invariant violated: {e}", B::NAME));
-}
-
 /// Spreads a small test key (safe for `0..512`) across the `i64` domain
 /// so it exercises several shards of an 8-way partition — small keys
 /// would otherwise all land in the one shard owning the interval around
@@ -965,28 +911,6 @@ proptest! {
         check_elastic_with_forced_migrations::<SinglyCursorList<i64>>(&spread_tape, split_every);
         check_elastic_with_forced_migrations::<lockfree_skiplist::SkipListSet<i64>>(&spread_tape, split_every);
         check_elastic_with_forced_migrations::<UnrolledTiny>(&spread_tape, split_every);
-    }
-
-    /// With flat-combining delegation pinned write-hot, every write
-    /// travels through a combine slot yet must replay arbitrary tapes
-    /// identically to the `BTreeSet` oracle — including when the pin
-    /// toggles off and back on mid-tape and splits/merges reshape the
-    /// table underneath the slots.
-    #[test]
-    fn elastic_delegation_matches_btreeset_with_pin_toggles(
-        tape in proptest::collection::vec(step_strategy(64), 20..300),
-        toggle_every in 5usize..40,
-    ) {
-        let spread_tape: Vec<Step> = tape
-            .iter()
-            .map(|s| match *s {
-                Step::Add(k) => Step::Add(spread(k)),
-                Step::Remove(k) => Step::Remove(spread(k)),
-                Step::Contains(k) => Step::Contains(spread(k)),
-            })
-            .collect();
-        check_delegation_against_btreeset::<SinglyCursorList<i64>>(&spread_tape, toggle_every);
-        check_delegation_against_btreeset::<lockfree_skiplist::SkipListSet<i64>>(&spread_tape, toggle_every);
     }
 
     /// The morphing elastic set replays arbitrary tapes identically to

@@ -68,6 +68,24 @@ fn reproducing_covers_every_experiment_id() {
 }
 
 #[test]
+fn architecture_counts_every_variant() {
+    let arch = read_doc("ARCHITECTURE.md");
+    let marker = "`bench_harness::Variant` names the ";
+    let at = arch
+        .find(marker)
+        .expect("ARCHITECTURE.md must say how many instantiations `Variant` names");
+    let count: String = arch[at + marker.len()..]
+        .chars()
+        .take_while(char::is_ascii_digit)
+        .collect();
+    assert_eq!(
+        count.parse::<usize>().ok(),
+        Some(Variant::ALL.len()),
+        "ARCHITECTURE.md's variant count must equal `Variant::ALL.len()`"
+    );
+}
+
+#[test]
 fn architecture_names_every_crate() {
     let arch = read_doc("ARCHITECTURE.md");
     for krate in [

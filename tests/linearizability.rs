@@ -322,38 +322,6 @@ fn elastic_morph_is_linearizable_with_morphs_firing() {
 }
 
 #[test]
-fn elastic_delegated_ops_are_linearizable() {
-    use pragmatic_list::elastic::{ElasticSet, LoadPolicy};
-    use pragmatic_list::variants::SinglyCursorList;
-    // Delegation pinned on: every recorded write enqueues into a combine
-    // slot and is applied by whichever thread wins the combiner lock —
-    // usually *not* the invoking thread. The handoff must still place
-    // each op's effect inside its invoke→return window, so the per-key
-    // histories stay linearizable even though the applying thread and
-    // the returning thread differ.
-    let mut any_combined = false;
-    for round in 0..6u64 {
-        let set = ElasticSet::<i64, SinglyCursorList<i64>>::with_policy(LoadPolicy {
-            initial_shards: 1,
-            max_shards: 32,
-            check_period: 8,
-            window_min_ops: 16,
-            split_share_pct: 10,
-            merge_share_pct: 0,
-            min_split_keys: 2,
-            ..LoadPolicy::default()
-        });
-        set.pin_combining(true);
-        assert!(
-            record_and_check_spread_on(&set, 4, 30, 6, 0xC0_3B1E ^ round),
-            "delegated elastic_singly produced a non-linearizable history (round {round})"
-        );
-        any_combined |= set.combined() > 0;
-    }
-    assert!(any_combined, "no op combined across six pinned rounds");
-}
-
-#[test]
 fn elastic_skiplist_is_linearizable() {
     use pragmatic_list::elastic::ElasticSet;
     for round in 0..6u64 {
