@@ -32,16 +32,15 @@
 #![warn(rust_2018_idioms)]
 
 use std::marker::PhantomData;
+use std::sync::atomic::AtomicUsize;
 use std::sync::atomic::Ordering::{AcqRel, Acquire, Relaxed};
-use std::sync::atomic::{AtomicI64, AtomicUsize};
-use std::sync::{Arc, Mutex};
 
 use glibc_rand::GlibcRandom;
 use pragmatic_list::arena::{LocalArena, Registry};
 use pragmatic_list::marked::{MarkedAtomic, MarkedPtr};
 use pragmatic_list::ordered::{OrderedHandle, ScanBounds, Snapshot};
 use pragmatic_list::set::{ConcurrentOrderedSet, InvariantViolation, SetHandle};
-use pragmatic_list::{Key, OpStats};
+use pragmatic_list::{live_bump, Key, LiveSlot, LiveSlots, OpStats};
 
 /// Maximum tower height; with p = 1/2 this comfortably covers 2^20
 /// elements.
@@ -96,12 +95,11 @@ pub struct SkipList<K: Key, const MILD: bool> {
     head: *mut SkipNode<K>,
     tail: *mut SkipNode<K>,
     registry: Registry<SkipNode<K>>,
-    /// Per-handle live-item counter slots (same idiom as the flat
-    /// lists' `LiveSlots`): each slot is written only by its owning
-    /// handle, so `len_estimate` is an O(handles) sum instead of an
-    /// O(n) bottom-level walk — which matters once the elastic morph
-    /// sweep polls every shard's size each load window.
-    live: Mutex<Vec<Arc<pragmatic_list::CachePadded<AtomicI64>>>>,
+    /// Per-handle live-item counter slots, shared with the flat lists:
+    /// `len_estimate` is an O(handles) sum instead of an O(n)
+    /// bottom-level walk — which matters once the elastic morph sweep
+    /// polls every shard's size each load window.
+    live: LiveSlots,
     /// Handles created so far: seeds each handle's tower-height stream,
     /// so a list's tower shapes depend only on its own handle order.
     handle_seq: AtomicUsize,
@@ -242,7 +240,7 @@ impl<K: Key, const MILD: bool> ConcurrentOrderedSet<K> for SkipList<K, MILD> {
             head,
             tail,
             registry: Registry::new(),
-            live: Mutex::new(Vec::new()),
+            live: LiveSlots::default(),
             handle_seq: AtomicUsize::new(1),
         }
     }
@@ -252,23 +250,9 @@ impl<K: Key, const MILD: bool> ConcurrentOrderedSet<K> for SkipList<K, MILD> {
         // counter keeps streams distinct across threads and, unlike a
         // process-wide one, independent of what else ran in the process.
         let seq = self.handle_seq.fetch_add(1, Relaxed);
-        // Claim a live-counter slot: an orphaned one (no other owner)
-        // when available, a fresh one otherwise — slots outlive their
-        // handles so the residual net count keeps contributing.
-        let live = {
-            let mut slots = self.live.lock().unwrap();
-            match slots.iter().find(|s| Arc::strong_count(s) == 1) {
-                Some(slot) => Arc::clone(slot),
-                None => {
-                    let slot = Arc::new(pragmatic_list::CachePadded(AtomicI64::new(0)));
-                    slots.push(Arc::clone(&slot));
-                    slot
-                }
-            }
-        };
         SkipListHandle {
             list: self,
-            live,
+            live: self.live.register(),
             preds: [std::ptr::null_mut(); MAX_LEVEL],
             succs: [std::ptr::null_mut(); MAX_LEVEL],
             rng: GlibcRandom::new(glibc_rand::thread_seed(0x5EED_4B1D, seq)),
@@ -292,10 +276,9 @@ impl<K: Key, const MILD: bool> ConcurrentOrderedSet<K> for SkipList<K, MILD> {
 /// allocation log.
 pub struct SkipListHandle<'l, K: Key, const MILD: bool> {
     list: &'l SkipList<K, MILD>,
-    /// This handle's cache-padded live-item counter slot (successful
-    /// adds minus successful removes); single-writer, so bumps are a
-    /// plain load+store on an exclusively-held line.
-    live: Arc<pragmatic_list::CachePadded<AtomicI64>>,
+    /// This handle's live-item counter slot (successful adds minus
+    /// successful removes).
+    live: LiveSlot,
     preds: [*mut SkipNode<K>; MAX_LEVEL],
     succs: [*mut SkipNode<K>; MAX_LEVEL],
     rng: GlibcRandom,
@@ -311,14 +294,6 @@ impl<'l, K: Key, const MILD: bool> Drop for SkipListHandle<'l, K, MILD> {
 }
 
 impl<'l, K: Key, const MILD: bool> SkipListHandle<'l, K, MILD> {
-    /// Single-writer bump of this handle's live counter.
-    #[inline]
-    fn live_bump(&self, delta: i64) {
-        self.live
-            .0
-            .store(self.live.0.load(Relaxed) + delta, Relaxed);
-    }
-
     /// Geometric tower height with p = 1/2 (number of trailing ones of a
     /// 31-bit uniform draw), capped at `MAX_LEVEL`.
     fn random_height(&mut self) -> usize {
@@ -411,7 +386,7 @@ impl<'l, K: Key, const MILD: bool> SkipListHandle<'l, K, MILD> {
                     continue;
                 }
                 self.stats.adds += 1;
-                self.live_bump(1);
+                live_bump(&self.live, 1);
                 // Link the upper levels, refreshing the search on each
                 // conflict. If our node gets deleted concurrently while
                 // we are still linking, stop — the searches unlink
@@ -499,7 +474,7 @@ impl<'l, K: Key, const MILD: bool> SkipListHandle<'l, K, MILD> {
                         // Physical unlink through a fresh search.
                         self.find(key);
                         self.stats.rems += 1;
-                        self.live_bump(-1);
+                        live_bump(&self.live, -1);
                         return true;
                     }
                     Err(observed) => {
@@ -603,19 +578,7 @@ impl<'l, K: Key, const MILD: bool> OrderedHandle<K> for SkipListHandle<'l, K, MI
     }
 
     fn len_estimate(&mut self) -> usize {
-        // O(handles) sum of the per-handle live counters — exact when
-        // quiescent, an estimate under concurrency (same contract as
-        // the bottom-level walk it replaces, without the O(n) cost the
-        // elastic morph sweep would otherwise pay per load window).
-        let total: i64 = self
-            .list
-            .live
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|s| s.0.load(Relaxed))
-            .sum();
-        total.max(0) as usize
+        self.list.live.sum()
     }
 }
 

@@ -50,6 +50,7 @@
 //! once real reclamation forbids exploiting them.
 
 use crate::sync::{AtomicI64, AtomicPtr};
+use std::collections::HashSet;
 use std::marker::PhantomData;
 use std::sync::atomic::Ordering::{AcqRel, Acquire, Relaxed, Release};
 use std::sync::Arc;
@@ -170,9 +171,14 @@ impl<K: Key, const CURSOR: bool, const REPAIR: bool, R: Reclaimer, const HINTS: 
     /// only — every backward chain reaching the head through strictly
     /// decreasing keys. (Under real reclamation `prev` may name freed
     /// nodes and is never followed, so there is nothing to check.)
+    /// Linear in the nodes ever linked: each backward step is checked
+    /// once.
     ///
     /// [`STABLE`]: crate::reclaim::Reclaimer::STABLE
     pub fn validate(&mut self) -> Result<(), InvariantViolation> {
+        // Nodes whose backward chain is known to reach the head.
+        let mut verified: HashSet<*mut DNode<K>> = HashSet::new();
+        let mut chain: Vec<*mut DNode<K>> = Vec::new();
         // SAFETY: exclusive access; `prev` chains are dereferenced only
         // under a STABLE reclaimer, where every node ever linked is
         // still allocated.
@@ -195,20 +201,26 @@ impl<K: Key, const CURSOR: bool, const REPAIR: bool, R: Reclaimer, const HINTS: 
                     return Err(InvariantViolation::OutOfOrder { position: pos });
                 }
                 // Backward chain from `curr` must reach the head with
-                // strictly decreasing keys.
+                // strictly decreasing keys. It may stop at a verified
+                // node: that node's key is below every key walked so
+                // far, and its own chain reaches the head.
                 if R::STABLE {
+                    chain.push(curr);
                     let mut back = (*curr).prev.load(Acquire);
                     let mut last = k;
-                    let mut steps = 0usize;
                     while back != self.head {
                         let bk = (*back).key;
-                        if bk >= last || steps > budget {
+                        if bk >= last || chain.len() > budget {
                             return Err(InvariantViolation::BackChainBroken { position: pos });
                         }
+                        if verified.contains(&back) {
+                            break;
+                        }
+                        chain.push(back);
                         last = bk;
                         back = (*back).prev.load(Acquire);
-                        steps += 1;
                     }
+                    verified.extend(chain.drain(..));
                 }
                 prev_key = k;
                 curr = (*curr).next.load(Acquire).ptr();
@@ -933,6 +945,50 @@ mod tests {
         }
         assert_eq!(list.to_vec(), vec![2, 3, 4, 5, 7, 8]);
         list.validate().unwrap();
+    }
+
+    #[test]
+    fn validate_catches_seeded_back_chain_corruption() {
+        let mut list = DoublyCursorList::<i64>::new();
+        {
+            let mut h = list.handle();
+            for k in 1..=64 {
+                assert!(h.add(k));
+            }
+        }
+        list.validate().unwrap();
+        // SAFETY: exclusive access; the corrupted `prev` only names
+        // live nodes, and `validate` never writes through it.
+        let (node, succ) = unsafe {
+            let mut node = (*list.head).next.load(Acquire).ptr();
+            for _ in 0..30 {
+                node = (*node).next.load(Acquire).ptr();
+            }
+            (node, (*node).next.load(Acquire).ptr())
+        };
+        let broken = Err(InvariantViolation::BackChainBroken { position: 30 });
+        // A backward pointer to a larger key, then one to itself (a cycle).
+        for bad in [succ, node] {
+            // SAFETY: as above.
+            unsafe { (*node).prev.store(bad, Relaxed) };
+            assert_eq!(list.validate(), broken);
+        }
+    }
+
+    #[test]
+    fn validate_is_linear_on_a_million_keys() {
+        let mut list = DoublyCursorList::<i64>::new();
+        let mut keys: Vec<i64> = (0..1_000_000).collect();
+        assert_eq!(list.handle().add_batch(&mut keys), keys.len());
+        let (tx, rx) = std::sync::mpsc::channel();
+        let validator = std::thread::spawn(move || {
+            let _ = tx.send(list.validate());
+        });
+        let validated = rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("validating 1M keys must finish within 10 s");
+        validated.unwrap();
+        validator.join().unwrap();
     }
 
     #[test]

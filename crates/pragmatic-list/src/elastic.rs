@@ -29,19 +29,19 @@
 //! The keyspace partition is a table of contiguous, ascending rank
 //! intervals (`[lo_i, lo_{i+1})` over [`ShardKey::rank64`]), each owning
 //! one backend shard. The table itself (`RouterTable`) is **immutable**
-//! and published RCU-style: one atomic pointer names the current table,
-//! and the hot-path revalidation is a single `Acquire` load of that
-//! pointer compared against the handle's snapshot — no mutex and no
-//! version handshake on lookup. The handle's snapshot is an `Arc` that
-//! pins the old allocation, so an address match proves identity (a
-//! recycled address would require this very snapshot to have been
-//! dropped first). Writers — split, merge, morph — serialize on a
-//! writer mutex **off** the read path, build a fresh table, and
-//! CAS-publish it with the `TABLE_PUBLISH` (`Release`) ordering from the
-//! `sync` facade; the displaced table retires through the
-//! same epoch domain as [`EpochReclaim`](crate::reclaim::EpochReclaim),
-//! so a reader that already loaded the old pointer finishes routing
-//! through it before the memory can be freed.
+//! and published RCU-style: a mutex holds an `Arc` of the current table,
+//! and a router version counter announces each replacement. The hot-path
+//! revalidation is a single `Acquire` load of the version compared
+//! against the one the handle recorded — no mutex on lookup. A handle
+//! that sees a new version loads the version *first* and then clones
+//! the table's `Arc` under the mutex, so the table it routes through is
+//! never older than the version it records. Writers — split, merge,
+//! morph — serialize on a writer mutex **off** the read path, build a
+//! fresh table, swap it in under the table mutex and bump the version
+//! there. No epoch domain is involved: each handle owns `Arc`s of the
+//! shards it routes to, so a retired table is freed by whoever drops
+//! its last `Arc`, and a reader of the old table finishes on shards its
+//! own `Arc`s keep alive.
 //!
 //! # The migration protocol
 //!
@@ -58,19 +58,18 @@
 //!    flight on *S* and none can start.
 //! 3. **Copy**: scan the now write-quiescent backend (exact) and bulk-load
 //!    the keys into fresh backends via the sorted batch path.
-//! 4. **Publish**: build a new table carrying the replacement intervals
-//!    and CAS-install its pointer (`TABLE_PUBLISH` = `Release`).
-//!    Stalled and future operations observe the changed pointer,
-//!    refresh, re-route and retry.
-//! 5. **Retire**: the displaced table is deferred into the epoch
-//!    domain; once every reader that could still hold its pointer has
-//!    unpinned, it drops its shard `Arc`s. A decommissioned backend is
-//!    freed — running its own teardown through its
-//!    [`Reclaimer`](crate::reclaim::Reclaimer) — once the retired
-//!    tables collect *and* the last handle snapshot referencing it
-//!    refreshes (handles always drop the cached backend handle *before*
-//!    releasing the backend, so parked cursors and search hints die
-//!    with the handle, never dangling).
+//! 4. **Publish**: build a new table carrying the replacement intervals,
+//!    swap it in under the table mutex and, still under it, bump the
+//!    router version (`SeqCst`). Stalled and future operations observe
+//!    the new version, refresh, re-route and retry.
+//! 5. **Retire**: the displaced table is dropped right after the swap,
+//!    outside the table mutex, releasing its shard `Arc`s. A
+//!    decommissioned backend is freed — running its own teardown
+//!    through its [`Reclaimer`](crate::reclaim::Reclaimer) — once the
+//!    last handle snapshot referencing it refreshes (handles always drop
+//!    the cached backend handle *before* releasing the backend, so
+//!    parked cursors and search hints die with the handle, never
+//!    dangling).
 //!
 //! Operations therefore never block on a mutex on the hot path, never
 //! lose an update to a migration, and `range()` scans stitch across old
@@ -128,7 +127,7 @@
 //! assert_eq!(h.len_estimate(), 200);
 //! ```
 
-use crate::sync::{AtomicBool, AtomicPtr, AtomicU64, Mutex, MutexGuard, TABLE_PUBLISH};
+use crate::sync::{AtomicBool, AtomicU64, Mutex, MutexGuard};
 use std::marker::PhantomData;
 use std::mem::ManuallyDrop;
 use std::ops::RangeBounds;
@@ -620,17 +619,15 @@ impl Drop for Published<'_> {
 
 /// One immutable, RCU-published generation of the routing table:
 /// shards sorted by `lo`, intervals contiguous from rank 0. Never
-/// mutated after publication; writers build a fresh table and retire
-/// the old one through the epoch domain.
+/// mutated after publication; writers build a fresh table, swap it in
+/// and drop the old one.
 struct RouterTable<K, B> {
     shards: Vec<Arc<ShardState<K, B>>>,
-    /// Live-table counter of the owning structure, decremented on drop
-    /// once the shard `Arc`s are released (`Release`, paired with the
-    /// `Acquire` load in `ElasticCore::tables_alive`), so quiescent code
-    /// that reads 1 owns every shard alone. Deliberately a plain `std`
-    /// atomic outside the [`crate::sync`] facade: it gates only the
-    /// quiescent paths (leak tests, `&mut self` accessors), no
-    /// concurrent protocol, and must not add model-checker scheduling
+    /// Live-table counter of the owning structure (diagnostics: leak
+    /// tests and the benchmark's polls read it through
+    /// `ElasticCore::tables_alive`). Deliberately a plain `std` atomic
+    /// outside the [`crate::sync`] facade: it takes part in no
+    /// concurrent protocol and must not add model-checker scheduling
     /// points.
     alive: Arc<std::sync::atomic::AtomicUsize>,
 }
@@ -650,27 +647,18 @@ impl<K, B> RouterTable<K, B> {
 
 impl<K, B> Drop for RouterTable<K, B> {
     fn drop(&mut self) {
-        // Release the shard `Arc`s *before* the decrement: a quiescent
-        // owner that reads `alive == 1` (`Acquire`) then finds every
-        // shard of the published table unshared, even when another
-        // thread's epoch flush is the one dropping this table.
-        drop(std::mem::take(&mut self.shards));
-        self.alive.fetch_sub(1, Release);
+        self.alive.fetch_sub(1, Relaxed);
     }
 }
 
-/// Reconstructs and drops the `Arc` of a retired router table (the
-/// epoch-deferred half of a table publish).
-///
-/// # Safety
-///
-/// `ptr` must be the address from `Arc::into_raw` of a
-/// `RouterTable<K, B>` whose publish-time reference has not been
-/// reclaimed through any other path.
-unsafe fn drop_retired_table<K: ShardKey, B: ElasticBackend<K>>(ptr: usize, _unused: usize) {
-    // SAFETY: forwarded contract — `ptr` is the leaked publish-time Arc.
-    unsafe { drop(Arc::from_raw(ptr as *const RouterTable<K, B>)) };
-}
+/// Why the table mutex cannot be poisoned: its critical sections only
+/// clone or swap an `Arc`.
+const TABLE_LOCK: &str = "the table mutex guards only an Arc clone or swap";
+
+/// Panic message of the quiescent accessors when a shard is still
+/// shared under `&mut self`: only a leaked handle can own one then.
+const LEAKED_HANDLE: &str = "quiescent elastic structure still shares a shard: \
+     a handle was leaked (`mem::forget`) and still owns its router snapshot";
 
 /// The plan of one migration (see `ElasticCore::migrate`): which shards
 /// it seals and what it rebuilds their keys into.
@@ -684,19 +672,20 @@ enum Plan {
     Morph(MorphKind),
 }
 
-/// The shared elastic state: the published table pointer, the writer
-/// lock, and the monitor plumbing.
+/// The shared elastic state: the published table, the writer lock, and
+/// the monitor plumbing.
 struct ElasticCore<K, B> {
-    /// The current [`RouterTable`], leaked from an `Arc`. Readers take
-    /// one `Acquire` load; writers CAS-publish a replacement under
-    /// [`writer`](ElasticCore::writer) and retire the displaced table
-    /// through the epoch domain.
-    table: AtomicPtr<RouterTable<K, B>>,
+    /// The current [`RouterTable`]. Taken only to clone the `Arc` (on
+    /// refresh, handle creation and diagnostics) and to swap in a
+    /// replacement ([`publish`](ElasticCore::publish)); never on the
+    /// operation hot path.
+    table: Mutex<Arc<RouterTable<K, B>>>,
     /// Serializes all migrations (split / merge / morph). Never taken on
     /// the operation hot path.
     writer: Mutex<()>,
-    /// Bumped on every publish. Diagnostic only — the read path
-    /// revalidates by table address, never by version.
+    /// The router version, bumped under the table mutex by every
+    /// publish. The hot path compares it (`Acquire`) with the version a
+    /// handle recorded at its last refresh.
     version: AtomicU64,
     next_id: AtomicU64,
     policy: LoadPolicy,
@@ -707,18 +696,9 @@ struct ElasticCore<K, B> {
     /// Times the monitor marked a shard write-hot.
     delegations: AtomicU64,
     /// Router tables of this structure currently allocated (published +
-    /// retired-but-uncollected). See `RouterTable::alive`.
+    /// displaced ones whose last `Arc` is not dropped yet). See
+    /// `RouterTable::alive`.
     tables_alive: Arc<std::sync::atomic::AtomicUsize>,
-}
-
-impl<K, B> Drop for ElasticCore<K, B> {
-    fn drop(&mut self) {
-        let p = self.table.load(Acquire);
-        // SAFETY: `p` is the published-table `Arc` leaked by `new` or
-        // the latest `publish`; `&mut self` means no reader can load it
-        // anymore, so ownership reverts to us exactly once.
-        unsafe { drop(Arc::from_raw(p)) };
-    }
 }
 
 impl<K, B> ElasticCore<K, B>
@@ -749,7 +729,7 @@ where
         let tables_alive = Arc::new(std::sync::atomic::AtomicUsize::new(0));
         let table = Arc::new(RouterTable::new(shards, &tables_alive));
         ElasticCore {
-            table: AtomicPtr::new(Arc::into_raw(table) as *mut RouterTable<K, B>),
+            table: Mutex::new(table),
             writer: Mutex::new(()),
             version: AtomicU64::new(1),
             next_id: AtomicU64::new(n as u64 + 1),
@@ -764,7 +744,7 @@ where
     }
 
     fn handle(&self) -> CoreHandle<'_, K, B> {
-        let table = self.snapshot();
+        let (version, table) = self.snapshot();
         let entries: Vec<Entry<K, B>> = table
             .shards
             .iter()
@@ -774,7 +754,7 @@ where
         CoreHandle {
             core: self,
             slot: self.slots.register(),
-            table,
+            version,
             entries,
             bounds,
             last_idx: 0,
@@ -783,60 +763,52 @@ where
         }
     }
 
-    /// Clones the published table into an owning `Arc`. The epoch pin
-    /// spans both the pointer load and the strong-count bump: a table
-    /// is only freed after it is unlinked *and* past the grace period,
-    /// and the pin holds the grace period open.
-    fn snapshot(&self) -> Arc<RouterTable<K, B>> {
-        let guard = crossbeam_epoch::pin();
-        let p = self.table.load(Acquire);
-        // SAFETY: `p` was published by `new`/`publish` and can only be
-        // freed by an epoch-deferred drop; the pin above keeps that
-        // deferral pending, so the bump runs on a live allocation and
-        // makes us an owner that outlives the unpin.
-        let table = unsafe {
-            Arc::increment_strong_count(p);
-            Arc::from_raw(p as *const RouterTable<K, B>)
-        };
-        drop(guard);
-        table
+    /// The published table, cloned under the table mutex. Under the
+    /// writer lock it stays the published one until the caller itself
+    /// publishes.
+    fn published(&self) -> Arc<RouterTable<K, B>> {
+        Arc::clone(&self.table.lock().expect(TABLE_LOCK))
     }
 
-    /// Borrows the published table under the writer lock. Sound because
-    /// only writers retire tables and they serialize on that same lock —
-    /// but the borrow must end before the caller itself publishes.
-    fn published<'a>(&'a self, _writer: &'a MutexGuard<'a, ()>) -> &'a RouterTable<K, B> {
-        let p = self.table.load(Acquire);
-        // SAFETY: holding the writer lock excludes every code path that
-        // could retire (and thus free) the published table.
-        unsafe { &*p }
+    /// The router version and the published table, read in that order.
+    /// A publish swaps the table before it bumps the version, so the
+    /// table is never older than the version recorded with it — at
+    /// worst newer, which costs one extra refresh on the next operation.
+    fn snapshot(&self) -> (u64, Arc<RouterTable<K, B>>) {
+        let version = self.version.load(Acquire);
+        (version, self.published())
     }
 
-    /// CAS-publishes `shards` as a fresh table generation and retires
-    /// the displaced one through the epoch domain. Callers hold the
-    /// writer lock, so the CAS cannot lose; `TABLE_PUBLISH` (`Release`)
-    /// makes everything done while building the table — bulk-loading
-    /// freshly built backends included — visible to any reader whose
-    /// single `Acquire` load observes the new pointer.
+    /// Publishes `shards` as a fresh table generation. Callers hold the
+    /// writer lock. Under the table mutex it swaps the table in and
+    /// then bumps the version, so a handle that sees the new version
+    /// takes the mutex after the swap, and no handle clones the new
+    /// table before the bump: the bump is the publish's linearization
+    /// point. The mutex hands everything done while building the table
+    /// — bulk-loading the fresh backends included — to every handle
+    /// that clones it.
+    ///
+    /// The bump is `SeqCst`, not `Release`: a stalled handle
+    /// (`CoreHandle::stall`) alternates its version load with a `SeqCst`
+    /// seal load, and the single `SeqCst` order makes a bump that
+    /// precedes that seal load visible to the next version load, so the
+    /// stall cannot spin on a stale version. (Under a `Release` bump the
+    /// model checker reports a livelock in `elastic_seal_drain_handshake`.)
+    /// The displaced table is dropped after the mutex is released, so
+    /// its teardown never delays a refresher.
     fn publish(&self, _writer: &MutexGuard<'_, ()>, shards: Vec<Arc<ShardState<K, B>>>) {
-        let table = Arc::new(RouterTable::new(shards, &self.tables_alive));
-        let next = Arc::into_raw(table) as *mut RouterTable<K, B>;
-        let prev = self.table.load(Acquire);
-        let won = self
-            .table
-            .compare_exchange(prev, next, TABLE_PUBLISH, Relaxed)
-            .is_ok();
-        debug_assert!(won, "publishers serialize on the writer lock");
-        let _ = won;
-        self.version.fetch_add(1, Release);
-        let guard = crossbeam_epoch::pin();
-        // SAFETY: `prev` is the previous publish's leaked Arc, just
-        // unlinked above; readers that still hold the pointer are
-        // pinned, so the deferred drop runs only after they unpin.
-        unsafe { guard.defer_raw(prev as usize, 0, drop_retired_table::<K, B>) };
-        // Nudge the collector so retired tables (and the backends they
-        // keep alive) free promptly even on migration-only workloads.
-        guard.flush();
+        let next = Arc::new(RouterTable::new(shards, &self.tables_alive));
+        // Seeded mutation for the model checker's self-test only
+        // (`--cfg interleave_mutate_router`): announcing the version
+        // before the swap lets a refresher record it with the old table.
+        #[cfg(interleave_mutate_router)]
+        self.version.fetch_add(1, SeqCst);
+        let mut table = self.table.lock().expect(TABLE_LOCK);
+        let prev = std::mem::replace(&mut *table, next);
+        #[cfg(not(interleave_mutate_router))]
+        self.version.fetch_add(1, SeqCst);
+        drop(table);
+        drop(prev);
     }
 
     /// Index of the interval owning `rank` in a router table.
@@ -886,7 +858,7 @@ where
     /// proceed.
     fn migrate(&self, writer: &MutexGuard<'_, ()>, idx: usize, plan: Plan) -> bool {
         let (old, hi) = {
-            let table = &self.published(writer).shards;
+            let table = &self.published().shards;
             let applies = match plan {
                 Plan::Split => table.len() < self.policy.max_shards,
                 Plan::Merge => idx + 1 < table.len(),
@@ -933,7 +905,7 @@ where
             Plan::Merge => vec![self.new_shard(lo, &mut keys, None)],
             Plan::Morph(kind) => vec![self.new_shard(lo, &mut keys, Some(kind))],
         };
-        let mut shards = self.published(writer).shards.clone();
+        let mut shards = self.published().shards.clone();
         shards.splice(idx..idx + old.len(), fresh);
         self.publish(writer, shards);
         let committed = match plan {
@@ -952,17 +924,15 @@ where
         let Ok(writer) = self.writer.try_lock() else {
             return;
         };
-        let (window, writes, shard_len) = {
-            let table = self.published(&writer);
-            let window: Vec<u64> = table.shards.iter().map(|s| s.ops.read()).collect();
-            let writes: Vec<u64> = table.shards.iter().map(|s| s.writes.read()).collect();
-            (window, writes, table.shards.len())
-        };
+        let table = self.published();
+        let window: Vec<u64> = table.shards.iter().map(|s| s.ops.read()).collect();
+        let writes: Vec<u64> = table.shards.iter().map(|s| s.writes.read()).collect();
+        let shard_len = table.shards.len();
         let total: u64 = window.iter().sum();
         if total < self.policy.window_min_ops {
             return;
         }
-        for s in self.published(&writer).shards.iter() {
+        for s in table.shards.iter() {
             s.ops.reset();
             s.writes.reset();
         }
@@ -971,7 +941,7 @@ where
         // decision because a write-hot shard is *not split*: splitting
         // moves the hot set to a child that is just as hot, and pays a
         // full seal/drain/copy for it.
-        for (i, shard) in self.published(&writer).shards.iter().enumerate() {
+        for (i, shard) in table.shards.iter().enumerate() {
             let cur = shard.write_hot.load(Relaxed);
             let want = self.policy.combine_settled(writes[i], window[i], cur);
             if want != cur {
@@ -986,7 +956,7 @@ where
             .enumerate()
             .max_by_key(|&(_, ops)| *ops)
             .expect("router table is never empty");
-        if !self.published(&writer).shards[hot].write_hot.load(Relaxed)
+        if !table.shards[hot].write_hot.load(Relaxed)
             && hot_ops * 100 > total * self.policy.split_share_pct as u64
             && shard_len < self.policy.max_shards
             && self.migrate(&writer, hot, Plan::Split)
@@ -1021,8 +991,7 @@ where
         // every arm already matches costs only a length probe per shard.
         // (No split or merge committed above, so the table is unchanged.)
         if B::MORPHS {
-            let shards = self.published(&writer).shards.clone();
-            for (idx, shard) in shards.iter().enumerate() {
+            for (idx, shard) in table.shards.iter().enumerate() {
                 let len = shard.backend.handle().len_estimate();
                 let cur = shard.backend.kind();
                 let want = self.policy.morph_kind_settled(len, cur);
@@ -1038,50 +1007,29 @@ where
     /// `true` iff it committed.
     fn migrate_at(&self, key: K, plan: Plan) -> bool {
         let writer = self.writer.lock().unwrap();
-        let idx = Self::route_in(&self.published(&writer).shards, key.rank64());
+        let idx = Self::route_in(&self.published().shards, key.rank64());
         self.migrate(&writer, idx, plan)
     }
 
-    /// Runs `f` over the published table from a plain `&self` context
-    /// (diagnostics): the epoch pin keeps a concurrently retired table
-    /// alive for the duration.
-    fn with_published<R>(&self, f: impl FnOnce(&RouterTable<K, B>) -> R) -> R {
-        let guard = crossbeam_epoch::pin();
-        let p = self.table.load(Acquire);
-        // SAFETY: `p` was published by `new`/`publish`; tables are only
-        // freed via the epoch domain, which the pin above holds open.
-        let out = f(unsafe { &*p });
-        drop(guard);
-        out
-    }
-
-    /// Router tables of this structure currently allocated (1 when all
-    /// retired generations have been collected).
+    /// Router tables of this structure currently allocated (1 unless a
+    /// publish or a refresh is mid-flight).
     fn tables_alive(&self) -> usize {
-        self.tables_alive.load(Acquire)
+        self.tables_alive.load(Relaxed)
     }
 
     /// Exclusive access to every shard of the published table, in key
     /// order: the one path by which quiescent code reaches the shards.
-    /// `&mut self` rules out handles and migrations, so the only other
-    /// owners of a shard are retired table generations whose
-    /// epoch-deferred drop has not run yet (possibly on another thread's
-    /// flush). Drives the collector until every retired generation is
-    /// freed and every shard's strong count is 1 — the condition
-    /// `Arc::get_mut` checks — so the `get_mut` below cannot fail.
+    /// `&mut self` rules out live handles and migrations, and a publish
+    /// drops the displaced table before it returns, so the table and
+    /// every shard are unshared — unless a leaked handle still owns
+    /// them, which panics with [`LEAKED_HANDLE`] instead of waiting.
     fn shards_mut(&mut self) -> Vec<&mut ShardState<K, B>> {
-        let p = self.table.load(Acquire);
-        // SAFETY: `&mut self` excludes readers and writers, so the
-        // published `Arc` (leaked at publish, strong count 1) is neither
-        // replaced nor shared for the `&mut self` borrow.
-        let shards = unsafe { &mut (*p).shards };
-        while self.tables_alive() > 1 || shards.iter().any(|s| Arc::strong_count(s) > 1) {
-            crossbeam_epoch::pin().flush();
-            crate::sync::thread_yield();
-        }
-        shards
+        let table = self.table.get_mut().expect(TABLE_LOCK);
+        Arc::get_mut(table)
+            .expect(LEAKED_HANDLE)
+            .shards
             .iter_mut()
-            .map(|s| Arc::get_mut(s).expect("every shard is unshared after the wait"))
+            .map(|s| Arc::get_mut(s).expect(LEAKED_HANDLE))
             .collect()
     }
 
@@ -1182,12 +1130,12 @@ unsafe fn erase_handle_lifetime<'a, K: ShardKey, B: ElasticBackend<K>>(
 struct CoreHandle<'s, K: ShardKey, B: ElasticBackend<K>> {
     core: &'s ElasticCore<K, B>,
     slot: Arc<CachePadded<AtomicU64>>,
-    /// Owning snapshot of the router table this handle routes through.
-    /// Revalidated by comparing its address against the published
-    /// pointer: the `Arc` pins the allocation, so an address match
-    /// proves identity (no ABA — a recycled address would require this
-    /// very snapshot to have been dropped first).
-    table: Arc<RouterTable<K, B>>,
+    /// The router version read before the table `entries` were built
+    /// from. Revalidated against `ElasticCore::version`; versions only
+    /// grow, so an equal value means no publish since (no ABA).
+    version: u64,
+    /// One entry per shard of the snapshot table, in key order. The
+    /// entries' `Arc`s, not the table, keep the routed shards alive.
     entries: Vec<Entry<K, B>>,
     /// Dense copy of the entries' interval lower bounds (`bounds[i] ==
     /// entries[i].shard.lo`), rebuilt on refresh. Routing reads only
@@ -1223,9 +1171,8 @@ where
     #[inline]
     fn maybe_refresh(&mut self) {
         // The entire router read path: one `Acquire` load of the
-        // published pointer plus an address compare — no mutex, no
-        // version handshake.
-        if !std::ptr::eq(self.core.table.load(Acquire), Arc::as_ptr(&self.table)) {
+        // version plus a compare — no mutex.
+        if self.core.version.load(Acquire) != self.version {
             self.refresh();
         }
     }
@@ -1236,7 +1183,7 @@ where
     /// — the drop releases the backend handle first, then the `Arc`
     /// that may be the last thing keeping the retired backend alive.
     fn refresh(&mut self) {
-        let table = self.core.snapshot();
+        let (version, table) = self.core.snapshot();
         let mut old: Vec<Entry<K, B>> = std::mem::take(&mut self.entries);
         self.entries = table
             .shards
@@ -1250,7 +1197,7 @@ where
             .collect();
         self.bounds.clear();
         self.bounds.extend(self.entries.iter().map(|e| e.shard.lo));
-        self.table = table;
+        self.version = version;
         self.last_idx = 0;
         for mut evicted in old {
             if let Some(h) = &mut evicted.cached {
@@ -1278,13 +1225,11 @@ where
     }
 
     /// Waits out a migration of the shard at `idx`: returns when the
-    /// published table moved past this handle's snapshot (commit) or the
+    /// router version moved past this handle's snapshot (commit) or the
     /// shard was unsealed (aborted split).
     fn stall(&self, idx: usize) {
         let shard = &self.entries[idx].shard;
-        while std::ptr::eq(self.core.table.load(Acquire), Arc::as_ptr(&self.table))
-            && shard.sealed.load(SeqCst)
-        {
+        while self.core.version.load(Acquire) == self.version && shard.sealed.load(SeqCst) {
             crate::sync::thread_yield();
         }
     }
@@ -1337,22 +1282,26 @@ where
     /// Read-only analogue of [`with_shard`](CoreHandle::with_shard):
     /// routes and runs `op` without joining the seal protocol — no
     /// activity-slot publish, no seal check, no stall. The entire read
-    /// path is `maybe_refresh`'s single `Acquire` load plus the route.
+    /// path is `maybe_refresh`'s single `Acquire` version load plus the
+    /// route.
     ///
     /// Safe and linearizable for single-key reads:
     ///
     /// * **Memory**: the routed [`Entry`] owns an `Arc<ShardState>`, so
     ///   the backend outlives the read even if the table retires and the
-    ///   shard is decommissioned mid-op — no epoch dependence.
+    ///   shard is decommissioned mid-op.
     /// * **Consistency**: a sealed shard's backend is *frozen* — the
     ///   migrator drains all writers before copying, and writers routed
     ///   here stall until the new table publishes. The old backend is
     ///   therefore exactly the authoritative contents at every instant
-    ///   from the drain until the publish, and a read that still sees
-    ///   the old table loaded the pointer before that publish, so the
-    ///   pre-publish instant lies inside its invocation window — a valid
-    ///   linearization point. Writers cannot race it onto the old
-    ///   backend: they all go through the seal check.
+    ///   from the drain until the version bump, and a read that still
+    ///   routes through the old table loaded the version before that
+    ///   bump, so the pre-bump instant lies inside its invocation
+    ///   window — a valid linearization point. Writers cannot race it
+    ///   onto the old backend: they all go through the seal check. Nor
+    ///   can they reach the new backends before the bump: the bump
+    ///   happens under the table mutex, so any handle that clones the
+    ///   new table does so after it.
     fn with_shard_read<R>(&mut self, key: K, op: impl FnOnce(&mut B::Handle<'static>) -> R) -> R {
         self.maybe_refresh();
         let idx = self.route(key.rank64());
@@ -1502,6 +1451,18 @@ where
 /// [`LoadPolicy::combining`] default of [`new`](Elastic::new). It is a
 /// parameter of the front, not of the backend, so the two morphing
 /// presets share one instantiation of the core and its handle.
+///
+/// # Quiescent access
+///
+/// The `&mut self` accessors — [`collect_keys`], [`check_invariants`],
+/// [`shard_sizes`](Elastic::shard_sizes) and `shard_shapes` — never
+/// wait: `&mut self` proves every handle is gone, so each shard is
+/// owned by the published table alone. A handle leaked with
+/// [`std::mem::forget`] keeps its shard `Arc`s forever; these accessors
+/// then panic with a message naming the leaked handle.
+///
+/// [`collect_keys`]: ConcurrentOrderedSet::collect_keys
+/// [`check_invariants`]: ConcurrentOrderedSet::check_invariants
 pub struct Elastic<K, B, const COMBINE: bool = false> {
     core: ElasticCore<K, B>,
 }
@@ -1544,7 +1505,7 @@ where
 
     /// Current number of shards.
     pub fn shard_count(&self) -> usize {
-        self.core.with_published(|t| t.shards.len())
+        self.core.published().shards.len()
     }
 
     /// The router version: bumped by every committed migration.
@@ -1576,13 +1537,12 @@ where
 
     /// The intervals' lower rank bounds, ascending (diagnostics).
     pub fn shard_bounds(&self) -> Vec<u64> {
-        self.core
-            .with_published(|t| t.shards.iter().map(|s| s.lo).collect())
+        self.core.published().shards.iter().map(|s| s.lo).collect()
     }
 
     /// Router tables currently allocated: the published one plus any
-    /// retired generations the epoch collector has not freed yet.
-    /// Settles back to 1 once collection catches up (leak tests).
+    /// displaced generation a publish or a refresh still holds. 1 when
+    /// no migration is mid-flight (leak tests).
     pub fn tables_alive(&self) -> usize {
         self.core.tables_alive()
     }
@@ -2364,6 +2324,75 @@ mod tests {
         });
     }
 
+    /// How long the bounded quiescence tests wait for the owner thread.
+    const QUIESCENT_BOUND: std::time::Duration = std::time::Duration::from_secs(20);
+
+    /// A thread pinned in the global epoch collector must not stall the
+    /// quiescent accessors: the router retires nothing through it. The
+    /// test thread holds the pin while an owner thread splits, checks
+    /// and collects; the wait for the owner is bounded.
+    #[test]
+    fn quiescent_access_ignores_a_foreign_epoch_pin() {
+        let mut set = Set::with_policy(LoadPolicy {
+            initial_shards: 2,
+            min_split_keys: 4,
+            ..LoadPolicy::default()
+        });
+        {
+            let mut h = set.handle();
+            for k in 0..64 {
+                h.add(spread(k));
+            }
+        }
+        let pin = crossbeam_epoch::pin();
+        let (done, result) = std::sync::mpsc::channel();
+        let owner = std::thread::spawn(move || {
+            assert!(set.force_split_at(spread(32)));
+            set.check_invariants().unwrap();
+            done.send(set.collect_keys().len()).unwrap();
+        });
+        let got = result.recv_timeout(QUIESCENT_BOUND);
+        drop(pin);
+        assert_eq!(
+            got,
+            Ok(64),
+            "check_invariants / collect_keys must return while another thread is pinned"
+        );
+        owner.join().unwrap();
+    }
+
+    /// A handle leaked with `mem::forget` keeps its shards shared for
+    /// good; the quiescent accessors must panic and name the cause
+    /// rather than wait for it. The wait for the owner is bounded.
+    #[test]
+    fn quiescent_access_panics_on_a_leaked_handle() {
+        let mut set = Set::with_policy(LoadPolicy {
+            initial_shards: 2,
+            ..LoadPolicy::default()
+        });
+        let mut h = set.handle();
+        assert!(h.add(spread(1)));
+        std::mem::forget(h);
+        let (done, result) = std::sync::mpsc::channel();
+        let owner = std::thread::spawn(move || {
+            let out =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| set.check_invariants()));
+            let msg = out.err().map(|payload| {
+                payload
+                    .downcast_ref::<String>()
+                    .cloned()
+                    .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+                    .unwrap_or_default()
+            });
+            done.send(msg).unwrap();
+        });
+        let msg = result
+            .recv_timeout(QUIESCENT_BOUND)
+            .expect("check_invariants must not wait on a leaked handle");
+        assert_eq!(msg.as_deref(), Some(LEAKED_HANDLE));
+        owner.join().unwrap();
+    }
+
     #[test]
     fn hinted_backend_survives_decommission() {
         // Per-thread search hints point at nodes of the backend shard;
@@ -2810,8 +2839,8 @@ mod tests {
             }
         }
 
-        /// Drives the epoch collector until `done` holds (retired router
-        /// tables — and whatever they keep alive — free lazily).
+        /// Drives the epoch collector until `done` holds (an epoch
+        /// backend's retired nodes free lazily).
         fn drive_collector(mut done: impl FnMut() -> bool) {
             for _ in 0..10_000 {
                 if done() {
@@ -2824,7 +2853,7 @@ mod tests {
 
         /// Churn + forced migrations + drop: every node the retired and
         /// live shard backends ever allocated must be freed, and every
-        /// retired router table must collect while the set is alive.
+        /// displaced router table must be freed while the set is alive.
         fn assert_migrations_are_leak_free<B>()
         where
             B: ConcurrentOrderedSet<LeakKey> + 'static,
@@ -2877,7 +2906,7 @@ mod tests {
                 });
                 assert!(set.splits() > 0, "{}: no migration fired", B::NAME);
                 // Retired-table balance, proven while the set is alive:
-                // every superseded router generation must collect, so
+                // every superseded router generation must be freed, so
                 // only the published table remains allocated.
                 drive_collector(|| set.tables_alive() == 1);
                 assert_eq!(
@@ -2938,12 +2967,12 @@ mod tests {
             }
             let (_, f0) = leak::snapshot();
             assert!(set.force_split_at(LeakKey(32)));
-            // The retired backend stays pinned by this handle's table
-            // snapshot and by the retired router table itself.
+            // The retired backend stays pinned by this handle's
+            // snapshot entries.
             let (_, f_before) = leak::snapshot();
-            // Refresh the handle's snapshot, then drive the epoch
-            // collector: the retired table (and with it the last shard
-            // Arc) frees while the set is alive, not at set drop.
+            // Refresh the handle's snapshot (dropping the last shard
+            // Arc), then drive the epoch collector: the retired backend
+            // frees while the set is alive, not at set drop.
             assert!(h.contains(LeakKey(1)));
             drive_collector(|| {
                 let (_, f) = leak::snapshot();
@@ -2957,10 +2986,10 @@ mod tests {
             assert_eq!(set.tables_alive(), 1);
             drop(h);
             drop(set);
-            // The retired backend may have been dropped by another
-            // thread's flush that is still freeing its last nodes (the
-            // sentinels go last). Wait for the balance before releasing
-            // the lock, or the next leak test counts those frees.
+            // Another thread's flush may still be freeing the retired
+            // backend's last nodes (the sentinels go last). Wait for the
+            // balance before releasing the lock, or the next leak test
+            // counts those frees.
             drive_collector(|| {
                 let (a, f) = leak::snapshot();
                 a - a_start == f - f_start

@@ -136,5 +136,5 @@ pub use ordered::{OrderedHandle, ScanBounds, Snapshot};
 pub use reclaim::Reclaimer;
 pub use set::{ConcurrentOrderedSet, InvariantViolation, SetHandle};
 pub use sharded::{ShardKey, ShardedMap, ShardedSet};
-pub use stats::{CachePadded, OpStats};
+pub use stats::{live_bump, CachePadded, LiveSlot, LiveSlots, OpStats};
 pub use variants::EpochList;

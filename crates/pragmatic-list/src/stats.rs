@@ -123,9 +123,13 @@ pub struct CachePadded<T>(
 /// keep contributing); a new handle reuses a slot with no other owner,
 /// continuing from its residual value, so the registry stays bounded by
 /// the peak handle count.
-pub(crate) struct LiveSlots {
-    slots: crate::sync::Mutex<Vec<std::sync::Arc<CachePadded<crate::sync::AtomicI64>>>>,
+pub struct LiveSlots {
+    slots: crate::sync::Mutex<Vec<LiveSlot>>,
 }
+
+/// One handle's live-item counter, as [`LiveSlots::register`] hands it
+/// out; bumped with [`live_bump`].
+pub type LiveSlot = std::sync::Arc<CachePadded<crate::sync::AtomicI64>>;
 
 impl Default for LiveSlots {
     fn default() -> Self {
@@ -138,7 +142,7 @@ impl Default for LiveSlots {
 impl LiveSlots {
     /// Claims a counter slot for a new handle: an orphaned slot (no
     /// other owner) when available, a fresh one otherwise.
-    pub(crate) fn register(&self) -> std::sync::Arc<CachePadded<crate::sync::AtomicI64>> {
+    pub fn register(&self) -> LiveSlot {
         let mut slots = self.slots.lock().unwrap();
         if let Some(slot) = slots.iter().find(|s| std::sync::Arc::strong_count(s) == 1) {
             return std::sync::Arc::clone(slot);
@@ -151,7 +155,7 @@ impl LiveSlots {
     /// Sum of all slots, clamped at zero: the live-item estimate. Exact
     /// when quiescent; during concurrency, in-flight operations make it
     /// an estimate (same contract as the chain scan it replaces).
-    pub(crate) fn sum(&self) -> usize {
+    pub fn sum(&self) -> usize {
         let total: i64 = self
             .slots
             .lock()
@@ -166,7 +170,7 @@ impl LiveSlots {
 /// Single-writer increment of a handle's live counter (a plain
 /// load+store — the owning handle is the only writer).
 #[inline]
-pub(crate) fn live_bump(slot: &CachePadded<crate::sync::AtomicI64>, delta: i64) {
+pub fn live_bump(slot: &CachePadded<crate::sync::AtomicI64>, delta: i64) {
     use std::sync::atomic::Ordering::Relaxed;
     slot.0.store(slot.0.load(Relaxed) + delta, Relaxed);
 }

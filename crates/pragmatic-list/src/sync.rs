@@ -29,25 +29,6 @@ pub(crate) use std::sync::atomic::{
 #[cfg(not(interleave))]
 pub(crate) use std::sync::{Mutex, MutexGuard};
 
-/// Success ordering of the elastic router's table-publish CAS
-/// (`elastic.rs`). `Release` pairs with the reader's single `Acquire`
-/// load of the table pointer: everything the writer did while building
-/// the new table — bulk-loading freshly built (possibly morphed) shard
-/// backends included — happens-before any reader that routes through
-/// it. Weakening this to `Relaxed` lets a reader observe the new table
-/// pointer while the copied backend's contents are still invisible, so
-/// a lookup can miss a key that was present before the migration.
-#[cfg(not(interleave_mutate))]
-pub(crate) const TABLE_PUBLISH: std::sync::atomic::Ordering = std::sync::atomic::Ordering::Release;
-
-/// Deliberately weakened publish ordering for the model checker's
-/// mutation self-test (`RUSTFLAGS="--cfg interleave --cfg
-/// interleave_mutate"`): `weakened_table_publish_is_detected` proves the
-/// checker catches the stale-route race described above. Never enabled
-/// in normal builds.
-#[cfg(interleave_mutate)]
-pub(crate) const TABLE_PUBLISH: std::sync::atomic::Ordering = std::sync::atomic::Ordering::Relaxed;
-
 #[cfg(interleave)]
 pub(crate) use interleave::sync::{
     fence, AtomicBool, AtomicI64, AtomicPtr, AtomicU64, AtomicUsize, Mutex, MutexGuard,

@@ -296,8 +296,8 @@ fn unrolled_epoch_retire_during_traversal() {
 /// never lose it.
 #[test]
 fn elastic_seal_drain_handshake() {
-    // The RCU router retires superseded tables through the global epoch
-    // collector, so elastic executions need the epoch reset hook.
+    // The epoch reset hook is only a guard: neither the router nor this
+    // backend retires into the global collector.
     let report = builder(1)
         .on_reset(crossbeam_epoch::interleave_reset)
         .check(|| {
@@ -332,18 +332,17 @@ fn elastic_seal_drain_handshake() {
 }
 
 /// Protocol 7: the RCU router's publish → read → retire handshake. The
-/// read path is a single `Acquire` load of the published table pointer —
-/// no mutex, no version handshake — so a reader routes through whichever
-/// table it observes while a migrator CAS-publishes the successor
-/// (`TABLE_PUBLISH`, `Release` on success) and retires the superseded
-/// table through the epoch collector. Every interleaving must (a) route
-/// the reader to a table whose freshly built shard backends are fully
-/// visible — the release/acquire pair is what makes the bulk-loaded
-/// contents travel with the pointer — and (b) keep the retired table's
-/// instrumented atomics alive while any reader still routes through it
-/// (a premature free trips the checker's use-after-free tombstones).
-/// Once the reader quiesces, driving the collector must free every
-/// superseded table.
+/// read path is a single `Acquire` load of the router version — no
+/// mutex — so a reader routes through whichever table it snapshotted
+/// while a migrator swaps the successor in under the table mutex, bumps
+/// the version (`SeqCst`) and drops the superseded table. Every
+/// interleaving must (a) route the reader to a table whose freshly
+/// built shard backends are fully visible — the table mutex is what
+/// makes the bulk-loaded contents travel with the table — and (b) keep
+/// the retired shards' instrumented atomics alive while any reader
+/// still routes through them (a premature free trips the checker's
+/// use-after-free tombstones). Once the reader quiesces, every
+/// superseded table must be freed.
 #[test]
 fn rcu_router_publish_read_retire() {
     let report = builder(1)
@@ -360,9 +359,9 @@ fn rcu_router_publish_read_retire() {
             }
             let s2 = Arc::clone(&set);
             let t = interleave::thread::spawn(move || {
-                // A fresh handle snapshots the table with the one
-                // Acquire load and routes both probes through it,
-                // racing the CAS-publish and the old table's retirement.
+                // A fresh handle snapshots the version and the table and
+                // routes both probes through it, racing the publish and
+                // the old table's retirement.
                 let mut h = s2.handle();
                 (h.contains(10), h.contains(1_000))
             });
@@ -370,8 +369,8 @@ fn rcu_router_publish_read_retire() {
             let (lo, hi) = t.join().unwrap();
             assert!(lo, "key 10 must stay visible across the table publish");
             assert!(hi, "key 1000 must stay visible across the table publish");
-            // Retire leg: the reader is gone, so collection must free
-            // the pre-split table (three-epoch grace ⇒ a few flushes).
+            // Retire leg: the reader is gone, so the pre-split table
+            // must be freed (the flushes are a no-op for the router).
             for _ in 0..8 {
                 if set.tables_alive() == 1 {
                     break;
